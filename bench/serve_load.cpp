@@ -4,8 +4,9 @@
 // sim::traffic (deterministic per-session seeds), then sweeps
 // session count × ingest block size × worker threads through
 // serve::session_manager, interleaving offers round-robin across
-// sessions with periodic fork-join drains — the arrival pattern of a
-// fleet of concurrent capture streams. Reports per-combo wall time,
+// sessions and letting the workers catch up (start, then stop) every
+// few rounds — the arrival pattern of a fleet of concurrent capture
+// streams. Reports per-combo wall time,
 // real-time factor (audio seconds scored per wall second), fleet-wide
 // p50/p95/p99 block latency, and shed/rejected block counts into
 // BENCH_serve.json (+ the run log).
@@ -21,10 +22,10 @@
 // deterministic arrival timeline (Poisson session starts + per-block
 // capture times), and the harness offers every block AT its arrival
 // time against a live streaming manager (session_manager::start/stop —
-// long-lived workers, no fork-join barriers). Queue-wait and service
+// long-lived workers, no barriers). Queue-wait and service
 // latency are reported as SEPARATE histograms, and the per-session
-// verdict streams of every paced run must be bit-identical to a
-// fork-join drain() replay of the same blocks (exit 1 on mismatch).
+// verdict streams of every paced run must be bit-identical to an
+// unpaced 1-worker replay of the same blocks (exit 1 on mismatch).
 //
 // `--e2e` switches to the end-to-end command-pipeline protocol
 // (`serve-e2e-v1` run-log signature, default JSON BENCH_serve_e2e.json):
@@ -36,16 +37,15 @@
 // EXECUTED (recognized, not blocked, mapped to an intent), genuine task
 // completion means a genuine user's command executed — and reports ASR
 // latency as its own histogram, split from detector service time. The
-// per-session outcome streams of every run (fork-join at each worker
-// count, plus a streaming start/stop run) must be bit-identical to the
-// 1-worker fork-join reference (exit 1 on mismatch); only the asr_s
-// wall-time field is exempt.
+// per-session outcome streams of the run at every worker count must be
+// bit-identical to the 1-worker reference (exit 1 on mismatch); only
+// the asr_s wall-time field is exempt.
 //
 // `--shard` switches to the sharded-front protocol (`serve-shard-v1`
 // run-log signature, default JSON BENCH_serve_shard.json), in two
 // phases. Phase A is the identity matrix: a small e2e fleet runs
-// through serve::shard_manager at 1/2/4 shards × worker counts × both
-// drain disciplines × eviction on/off × shard_kill fault load, and
+// through serve::shard_manager at 1/2/4 shards × worker counts ×
+// eviction on/off × shard_kill fault load, and
 // every variant's per-session verdict+outcome streams must be
 // bit-identical to the 1-shard/1-worker/no-eviction reference (exit 1
 // on mismatch; eviction/kill variants must actually evict). Phase B is
@@ -64,8 +64,8 @@
 // run-log signature, default JSON BENCH_serve_chaos.json): the e2e fleet
 // runs under a deterministic serve::fault_injector schedule at several
 // fault scales, and three properties are checked, not just reported —
-// verdict+outcome streams stay bit-identical across 1/2/8 workers and
-// fork-join vs streaming under the SAME fault schedule; injected faults
+// verdict+outcome streams stay bit-identical across 1/2/8 workers
+// under the SAME fault schedule; injected faults
 // never increase attacker success (fail-closed); and the fleet completes
 // every run without process death. Smoke mode additionally requires the
 // top scale to put faults into >= 25% of sessions with attacker success
@@ -82,8 +82,8 @@
 //   --chaos          deterministic fault-injection sweep (see above)
 //   --shard          sharded front + snapshot/eviction protocol (above)
 //   --telemetry <dir>  emit fleet telemetry into <dir> and CHECK it:
-//                    under --e2e the run matrix widens to 1/2/8 workers
-//                    × fork-join/streaming, each run gets a fresh
+//                    under --e2e the run matrix is pinned to 1/2/8
+//                    workers, each run gets a fresh
 //                    obs::metrics_registry + per-session flight
 //                    recorders, and the deterministic counter
 //                    fingerprint AND the wall-clock-stripped span
@@ -104,6 +104,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -156,13 +157,14 @@ struct combo_result {
 
 // Feeds the first `num_sessions` scripts through a manager: offers one
 // block per session per round (round-robin, the concurrent-arrival
-// shape), draining every `drain_every` rounds and at the end. Under the
-// reject policy, a bounced offer drains and retries — explicit
-// producer-side backpressure.
+// shape) with no workers running, then lets `workers` workers drain the
+// queues (start, then stop) every `drain_every` rounds and at the end.
+// Under the reject policy, a bounced offer drains the same way and
+// retries — explicit producer-side backpressure.
 combo_result run_combo(const std::vector<ivc::sim::session_script>& scripts,
                        std::size_t num_sessions, double block_ms,
                        const ivc::serve::serve_config& cfg,
-                       std::size_t drain_every) {
+                       std::size_t workers, std::size_t drain_every) {
   using ivc::serve::offer_status;
   ivc::serve::session_manager manager{trained_detector_cache(), cfg};
   combo_result result;
@@ -198,13 +200,16 @@ combo_result run_combo(const std::vector<ivc::sim::session_script>& scripts,
                static_cast<std::ptrdiff_t>(end)},
           scripts[s].capture.sample_rate_hz};
       while (manager.offer(s, block) == offer_status::rejected) {
-        manager.drain();  // backpressure: drain, then retry the offer
+        manager.start(workers);  // backpressure: drain, then retry
+        manager.stop();
       }
     }
     if ((round + 1) % drain_every == 0) {
-      manager.drain();
+      manager.start(workers);
+      manager.stop();
     }
   }
+  manager.start(workers);  // finish()'s own start() is then a no-op
   manager.finish();
   result.wall_s = clock.elapsed_s();
   result.totals = manager.aggregate();
@@ -258,35 +263,6 @@ std::vector<arrival_event> build_timeline(
   return events;
 }
 
-// Fork-join reference for the paced replay: the same per-script blocks
-// offered in timeline order with no pacing, drained by the barrier
-// loop. The paced streaming runs must reproduce these verdict streams
-// bit-exactly.
-std::vector<std::vector<ivc::defense::stream_event>> forkjoin_reference(
-    const std::vector<ivc::sim::session_script>& scripts,
-    const std::vector<arrival_event>& timeline, std::size_t num_sessions,
-    ivc::serve::serve_config cfg) {
-  using ivc::serve::offer_status;
-  cfg.worker_threads = 1;
-  ivc::serve::session_manager manager{trained_detector_cache(), cfg};
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    manager.open_session();
-  }
-  for (const arrival_event& e : timeline) {
-    while (manager.offer(e.session, scripts[e.session].block(e.block)) ==
-           offer_status::rejected) {
-      manager.drain();
-    }
-  }
-  manager.finish();
-  std::vector<std::vector<ivc::defense::stream_event>> verdicts;
-  verdicts.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    verdicts.push_back(manager.verdicts(s));
-  }
-  return verdicts;
-}
-
 struct paced_result {
   double wall_s = 0.0;
   ivc::serve::serve_totals totals;
@@ -300,7 +276,8 @@ struct paced_result {
 // congested replay degrades into a burst, like a real backlogged
 // capture pipe). A session is closed right after its last block, so
 // end-of-stream flushes interleave with later arrivals instead of
-// gathering at the end.
+// gathering at the end. An infinite `pace` offers the whole timeline
+// at once: with one worker, that is the determinism reference.
 paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
                        const std::vector<arrival_event>& timeline,
                        std::size_t num_sessions,
@@ -309,12 +286,7 @@ paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
                        const std::string& timeseries_path = {}) {
   using ivc::serve::offer_status;
   namespace chrono = std::chrono;
-  ivc::serve::serve_config streaming_cfg = cfg;
-  // Streaming workers come from start(); a pool of 1 spawns no threads
-  // and still serves the final drain() sweep on the caller.
-  streaming_cfg.worker_threads = 1;
-  ivc::serve::session_manager manager{trained_detector_cache(),
-                                      streaming_cfg};
+  ivc::serve::session_manager manager{trained_detector_cache(), cfg};
   for (std::size_t s = 0; s < num_sessions; ++s) {
     manager.open_session();
   }
@@ -348,9 +320,7 @@ paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
       manager.close(e.session);
     }
   }
-  manager.close_all();
-  manager.stop();
-  manager.finish();  // sweep any offer that raced the stop
+  manager.finish();
   if (sampler != nullptr) {
     sampler->stop();  // takes the final end-of-run sample
     result.telemetry_samples = sampler->samples();
@@ -365,8 +335,8 @@ paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
   return result;
 }
 
-// The full paced protocol: timeline-stamped traffic, a fork-join
-// reference, then a streaming replay per worker count — each checked
+// The full paced protocol: timeline-stamped traffic, an unpaced 1-worker
+// reference, then a paced replay per worker count — each checked
 // bit-identical to the reference — reporting queue-wait and service
 // latency as separate histograms.
 int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
@@ -427,14 +397,16 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   cfg.queue_capacity = 64;
   cfg.policy = serve::overflow_policy::reject;
 
-  // ---- Fork-join reference: the determinism anchor. ------------------
+  // ---- Unpaced 1-worker reference: the determinism anchor. -----------
   const auto reference =
-      forkjoin_reference(scripts, timeline, num_sessions, cfg);
+      run_paced(scripts, timeline, num_sessions, cfg, /*workers=*/1,
+                std::numeric_limits<double>::infinity())
+          .verdicts;
   std::size_t reference_events = 0;
   for (const auto& v : reference) {
     reference_events += v.size();
   }
-  bench::note("fork-join reference: %zu verdicts over %zu sessions",
+  bench::note("unpaced 1-worker reference: %zu verdicts over %zu sessions",
               reference_events, reference.size());
 
   // ---- Streaming replays: one per worker count. ----------------------
@@ -468,7 +440,7 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
         determinism_ok = false;
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: paced session %zu verdicts "
-                     "differ from fork-join drain at %zu workers\n",
+                     "differ from the reference at %zu workers\n",
                      s, W);
       }
     }
@@ -519,7 +491,8 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   const double elapsed = total_clock.elapsed_s();
   report.add_metric("elapsed_s", elapsed);
   bench::rule();
-  bench::note("paced verdict streams bit-identical to fork-join drain: %s",
+  bench::note("paced verdict streams bit-identical to the unpaced "
+              "reference: %s",
               determinism_ok ? "yes" : "NO");
   bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
   report.write(opts);
@@ -577,16 +550,14 @@ std::string fleet_trace_fingerprint(const ivc::serve::session_manager& m,
 // Feeds the fleet through a manager whose sessions each carry their OWN
 // config (the per-session override path): the fleet config has no
 // pipeline, every opened session adds one — segmenter → shared
-// recognizer → intent — via open_session(config). Fork-join mode
-// offers round-robin with periodic drains; streaming mode runs live
-// start(workers)/stop() with per-session closes.
+// recognizer → intent — via open_session(config). Offers go round-robin
+// to `workers` live workers, and each session closes after its last
+// block.
 e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
                    std::size_t num_sessions,
-                   const ivc::serve::serve_config& fleet_cfg,
-                   std::size_t workers, bool streaming) {
+                   const ivc::serve::serve_config& cfg,
+                   std::size_t workers) {
   using ivc::serve::offer_status;
-  ivc::serve::serve_config cfg = fleet_cfg;
-  cfg.worker_threads = streaming ? 1 : workers;
   ivc::serve::session_manager manager{trained_detector_cache(), cfg};
   for (std::size_t s = 0; s < num_sessions; ++s) {
     ivc::serve::serve_config per_session = cfg;
@@ -596,9 +567,7 @@ e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
     per_session.pipeline = pipeline;  // decision window adopts window_s
     manager.open_session(per_session);
   }
-  if (streaming) {
-    manager.start(workers);
-  }
+  manager.start(workers);
   e2e_result result;
   std::size_t max_blocks = 0;
   for (std::size_t s = 0; s < num_sessions; ++s) {
@@ -612,23 +581,12 @@ e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
       }
       while (manager.offer(s, scripts[s].block(round)) ==
              offer_status::rejected) {
-        if (streaming) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        } else {
-          manager.drain();
-        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
-      if (streaming && round + 1 == scripts[s].num_blocks()) {
+      if (round + 1 == scripts[s].num_blocks()) {
         manager.close(s);
       }
     }
-    if (!streaming && (round + 1) % 4 == 0) {
-      manager.drain();
-    }
-  }
-  if (streaming) {
-    manager.close_all();
-    manager.stop();
   }
   manager.finish();
   result.wall_s = clock.elapsed_s();
@@ -641,8 +599,8 @@ e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
     result.outcomes.push_back(manager.outcomes(s));
     result.stats.push_back(manager.stats(s));
   }
-  if (fleet_cfg.metrics != nullptr) {
-    result.metrics_fingerprint = fleet_cfg.metrics->deterministic_fingerprint();
+  if (cfg.metrics != nullptr) {
+    result.metrics_fingerprint = cfg.metrics->deterministic_fingerprint();
     result.trace_fingerprint = fleet_trace_fingerprint(manager, num_sessions);
   }
   return result;
@@ -692,9 +650,9 @@ e2e_scorecard score_e2e(const std::vector<ivc::sim::session_script>& scripts,
 }
 
 // The full end-to-end protocol: fleet traffic with ground-truth command
-// labels, a 1-worker fork-join reference, then N-worker fork-join AND
-// streaming runs — every one checked outcome- and verdict-bit-identical
-// to the reference — reporting attacker success / blocked / genuine
+// labels, a 1-worker reference, then one run per wider worker count —
+// every one checked outcome- and verdict-bit-identical to the
+// reference — reporting attacker success / blocked / genuine
 // completion rates and the ASR latency histogram split from detector
 // service time.
 int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
@@ -707,8 +665,8 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
       sessions_override > 0 ? sessions_override
                             : (smoke ? std::size_t{64} : std::size_t{128});
   // With telemetry the worker matrix is pinned to 1/2/8 — the gate
-  // compares counter/span fingerprints across exactly these runs, in
-  // BOTH drain modes, so the records stay comparable across machines.
+  // compares counter/span fingerprints across exactly these runs, so the
+  // records stay comparable across machines.
   std::vector<std::size_t> workers =
       telemetry ? std::vector<std::size_t>{1, 2, 8}
                 : (smoke ? std::vector<std::size_t>{1, 4}
@@ -770,29 +728,26 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
     return c;
   };
 
-  // ---- Reference: 1-worker fork-join. --------------------------------
+  // ---- Reference: 1 worker. ------------------------------------------
   const e2e_result reference =
       run_e2e(scripts, num_sessions, telemetry_cfg(&reference_registry),
-              /*workers=*/1, /*streaming=*/false);
+              /*workers=*/1);
   const e2e_scorecard card = score_e2e(scripts, reference, num_sessions);
 
-  // ---- Replays: fork-join at each worker count + one streaming run, --
-  // all bit-identical to the reference in outcomes AND verdicts.
+  // ---- Replays: one per worker count, all bit-identical to the -------
+  // reference in outcomes AND verdicts.
   bool determinism_ok = true;
   bool telemetry_ok = true;
-  sim::result_table sweep{{"mode", "workers"},
+  sim::result_table sweep{{"workers"},
                           {"wall_s", "rtf", "service_p50_ms", "asr_p50_ms",
                            "asr_p95_ms", "utterances", "executed", "blocked"}};
-  std::printf("%10s %8s %9s %9s %12s %10s %10s %7s %7s\n", "mode", "workers",
-              "wall s", "rtf", "service p50", "asr p50", "asr p95", "utter",
-              "exec");
-  const auto run_one = [&](const char* mode, std::size_t W, bool streaming) {
+  std::printf("%8s %9s %9s %12s %10s %10s %7s %7s\n", "workers", "wall s",
+              "rtf", "service p50", "asr p50", "asr p95", "utter", "exec");
+  for (const std::size_t W : workers) {
     const e2e_result r =
-        streaming || W != 1
-            ? run_e2e(scripts, num_sessions, telemetry_cfg(nullptr), W,
-                      streaming)
-            : reference;
-    if (telemetry && (streaming || W != 1)) {
+        W != 1 ? run_e2e(scripts, num_sessions, telemetry_cfg(nullptr), W)
+               : reference;
+    if (telemetry && W != 1) {
       // The telemetry gate proper: the deterministic counter subset and
       // the wall-stripped span traces must reproduce the reference
       // byte-for-byte, like the streams themselves.
@@ -800,17 +755,17 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
         telemetry_ok = false;
         std::fprintf(stderr,
                      "TELEMETRY VIOLATION: deterministic counter "
-                     "fingerprint differs from the reference (%s, %zu "
+                     "fingerprint differs from the reference (%zu "
                      "workers)\n",
-                     mode, W);
+                     W);
       }
       if (r.trace_fingerprint != reference.trace_fingerprint) {
         telemetry_ok = false;
         std::fprintf(stderr,
                      "TELEMETRY VIOLATION: span traces (wall clock "
-                     "stripped) differ from the reference (%s, %zu "
+                     "stripped) differ from the reference (%zu "
                      "workers)\n",
-                     mode, W);
+                     W);
       }
     }
     for (std::size_t s = 0; s < num_sessions; ++s) {
@@ -819,28 +774,26 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
         determinism_ok = false;
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: e2e session %zu %s differs "
-                     "from the 1-worker fork-join reference (%s, %zu "
-                     "workers)\n",
+                     "from the 1-worker reference (%zu workers)\n",
                      s,
                      identical_verdicts(reference.verdicts[s], r.verdicts[s])
                          ? "outcome stream"
                          : "verdict stream",
-                     mode, W);
+                     W);
       }
     }
     const serve::serve_totals& t = r.totals;
     const double rtf = t.stats.audio_s_processed / r.wall_s;
-    std::printf("%10s %8zu %9.2f %9.1f %10.2fms %8.2fms %8.2fms %7llu "
-                "%7llu\n",
-                mode, W, r.wall_s, rtf,
+    std::printf("%8zu %9.2f %9.1f %10.2fms %8.2fms %8.2fms %7llu %7llu\n",
+                W, r.wall_s, rtf,
                 1e3 * t.stats.service.quantile(0.50),
                 1e3 * t.stats.asr_service.quantile(0.50),
                 1e3 * t.stats.asr_service.quantile(0.95),
                 static_cast<unsigned long long>(t.stats.utterances),
                 static_cast<unsigned long long>(t.stats.commands_executed));
     sim::result_table::row row;
-    row.labels = {mode, std::to_string(W)};
-    row.coords = {streaming ? 1.0 : 0.0, static_cast<double>(W)};
+    row.labels = {std::to_string(W)};
+    row.coords = {static_cast<double>(W)};
     row.metrics = {r.wall_s,
                    rtf,
                    1e3 * t.stats.service.quantile(0.50),
@@ -850,9 +803,9 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
                    static_cast<double>(t.stats.commands_executed),
                    static_cast<double>(t.stats.commands_blocked)};
     sweep.add_row(row);
-    if (streaming && W == workers.back()) {
-      // The streaming run is the deployment shape: its histograms are
-      // the report's canonical latency decomposition.
+    if (W == workers.back()) {
+      // The widest run is the deployment shape: its histograms are the
+      // report's canonical latency decomposition.
       report.add_latency_metrics("latency", t.stats.latency);
       report.add_latency_metrics("service", t.stats.service);
       report.add_latency_metrics("asr_service", t.stats.asr_service);
@@ -869,18 +822,6 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
       report.add_metric("rtf", rtf);
       report.add_metric("wall_s", r.wall_s);
     }
-  };
-  for (const std::size_t W : workers) {
-    run_one("fork-join", W, /*streaming=*/false);
-  }
-  if (telemetry) {
-    // The full telemetry matrix: streaming at EVERY worker count, so
-    // the gate covers 1/2/8 workers × both drain modes.
-    for (const std::size_t W : workers) {
-      run_one("streaming", W, /*streaming=*/true);
-    }
-  } else {
-    run_one("streaming", workers.back(), /*streaming=*/true);
   }
   sweep.print();
   report.add_table("e2e_sweep", sweep);
@@ -942,7 +883,7 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
     tel.set_seed(7);
     tel.add_metric("telemetry_deterministic_ok", telemetry_ok ? 1.0 : 0.0);
     tel.add_metric("runs_compared",
-                   static_cast<double>(2 * workers.size() - 1));
+                   static_cast<double>(workers.size() - 1));
     tel.add_metric("sessions", static_cast<double>(num_sessions));
     tel.add_metric("fingerprint_bytes",
                    static_cast<double>(reference.metrics_fingerprint.size()));
@@ -951,8 +892,8 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
     bench::options tel_opts = opts;
     tel_opts.json_path = telemetry_dir + "/BENCH_serve_telemetry.json";
     tel.write(tel_opts);
-    bench::note("telemetry fingerprints bit-identical across 1/2/8 workers "
-                "x both modes: %s",
+    bench::note("telemetry fingerprints bit-identical across 1/2/8 workers: "
+                "%s",
                 telemetry_ok ? "yes" : "NO");
     bench::note("telemetry artifacts in %s", telemetry_dir.c_str());
   }
@@ -960,8 +901,8 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
   const double elapsed = total_clock.elapsed_s();
   report.add_metric("elapsed_s", elapsed);
   bench::rule();
-  bench::note("outcome + verdict streams bit-identical across workers and "
-              "modes: %s",
+  bench::note("outcome + verdict streams bit-identical across worker "
+              "counts: %s",
               determinism_ok ? "yes" : "NO");
   bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
   report.write(opts);
@@ -986,8 +927,7 @@ std::size_t sessions_with_faults(const e2e_result& r) {
 // sweep (fault scale × workers). Three properties are CHECKED, not just
 // reported (exit 1 on any violation):
 //   * determinism under fault load — with a fixed fault seed the verdict
-//     AND outcome streams are bit-identical across 1/2/8 workers and in
-//     fork-join vs streaming drain;
+//     AND outcome streams are bit-identical across 1/2/8 workers;
 //   * fail-closed — injected faults never INCREASE attacker success (or
 //     benign false executes) over the fault-free baseline;
 //   * containment — the fleet completes every run without process death
@@ -1030,7 +970,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
     attack_streams += s.is_attack ? 1 : 0;
   }
   bench::note("fleet: %zu streams (%zu attack), fault scales ×%zu, "
-              "workers 1/2/8 fork-join + streaming",
+              "workers 1/2/8",
               scripts.size(), attack_streams, fault_scales.size());
   report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
   report.add_metric("fleet_attack_streams",
@@ -1058,13 +998,12 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
   double top_scale_fault_fraction = 0.0;
   double top_scale_attacker_success = 0.0;
   sim::result_table sweep{
-      {"fault_scale", "mode", "workers"},
+      {"fault_scale", "workers"},
       {"wall_s", "faulty_sessions", "quarantines", "reopens",
        "detector_faults", "recognizer_faults", "corrupt_blocks", "overruns",
        "shed_degraded", "failed_closed", "executed", "attacker_success"}};
-  std::printf("%7s %10s %8s %9s %7s %6s %6s %7s %7s %7s\n", "scale", "mode",
-              "workers", "wall s", "faulty", "quar", "reopen", "f.clsd",
-              "exec", "atk%%");
+  std::printf("%7s %8s %9s %7s %6s %6s %7s %7s %7s\n", "scale", "workers",
+              "wall s", "faulty", "quar", "reopen", "f.clsd", "exec", "atk%%");
   for (const double scale : fault_scales) {
     serve::serve_config cfg = base_cfg;
     if (scale > 0.0) {
@@ -1083,9 +1022,9 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
       cfg.faults = std::make_shared<serve::fault_injector>(fc);
     }
 
-    // Reference: 1-worker fork-join under this exact fault schedule.
-    const e2e_result reference = run_e2e(scripts, num_sessions, cfg,
-                                         /*workers=*/1, /*streaming=*/false);
+    // Reference: 1 worker under this exact fault schedule.
+    const e2e_result reference =
+        run_e2e(scripts, num_sessions, cfg, /*workers=*/1);
     const e2e_scorecard card = score_e2e(scripts, reference, num_sessions);
     const double attacker_success =
         card.attack_streams > 0
@@ -1121,36 +1060,32 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
       top_scale_attacker_success = attacker_success;
     }
 
-    const auto run_one = [&](const char* mode, std::size_t W,
-                             bool streaming) {
+    for (const std::size_t W : workers) {
       const e2e_result r =
-          streaming || W != 1
-              ? run_e2e(scripts, num_sessions, cfg, W, streaming)
-              : reference;
+          W != 1 ? run_e2e(scripts, num_sessions, cfg, W) : reference;
       for (std::size_t s = 0; s < num_sessions; ++s) {
         if (!identical_verdicts(reference.verdicts[s], r.verdicts[s]) ||
             !identical_outcomes(reference.outcomes[s], r.outcomes[s])) {
           determinism_ok = false;
           std::fprintf(stderr,
                        "DETERMINISM VIOLATION: chaos session %zu differs "
-                       "from the 1-worker reference (scale %.2f, %s, %zu "
+                       "from the 1-worker reference (scale %.2f, %zu "
                        "workers)\n",
-                       s, scale, mode, W);
+                       s, scale, W);
         }
       }
       const serve::session_stats& t = r.totals.stats;
       total_quarantines += t.quarantines;
-      std::printf("%7.2f %10s %8zu %9.2f %7zu %6llu %6llu %7llu %7llu "
-                  "%6.1f%%\n",
-                  scale, mode, W, r.wall_s, sessions_with_faults(r),
+      std::printf("%7.2f %8zu %9.2f %7zu %6llu %6llu %7llu %7llu %6.1f%%\n",
+                  scale, W, r.wall_s, sessions_with_faults(r),
                   static_cast<unsigned long long>(t.quarantines),
                   static_cast<unsigned long long>(t.reopens),
                   static_cast<unsigned long long>(t.utterances_failed_closed),
                   static_cast<unsigned long long>(t.commands_executed),
                   100.0 * attacker_success);
       sim::result_table::row row;
-      row.labels = {std::to_string(scale), mode, std::to_string(W)};
-      row.coords = {scale, streaming ? 1.0 : 0.0, static_cast<double>(W)};
+      row.labels = {std::to_string(scale), std::to_string(W)};
+      row.coords = {scale, static_cast<double>(W)};
       row.metrics = {r.wall_s,
                      static_cast<double>(sessions_with_faults(r)),
                      static_cast<double>(t.quarantines),
@@ -1164,11 +1099,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
                      static_cast<double>(t.commands_executed),
                      attacker_success};
       sweep.add_row(row);
-    };
-    for (const std::size_t W : workers) {
-      run_one("fork-join", W, /*streaming=*/false);
     }
-    run_one("streaming", workers.back(), /*streaming=*/true);
   }
   sweep.print();
   report.add_table("chaos_sweep", sweep);
@@ -1219,7 +1150,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
   const double elapsed = total_clock.elapsed_s();
   report.add_metric("elapsed_s", elapsed);
   bench::rule();
-  bench::note("streams bit-identical across workers and modes under fault "
+  bench::note("streams bit-identical across worker counts under fault "
               "load: %s",
               determinism_ok ? "yes" : "NO");
   bench::note("injected faults never increased attacker success: %s",
@@ -1246,18 +1177,17 @@ struct shard_run_result {
 
 // Phase-A runner: the e2e fleet (per-session pipeline overrides, like
 // run_e2e) through a shard_manager front. Every knob of the identity
-// matrix is a parameter: shard count, per-shard workers, drain
-// discipline, per-shard residency bound, fault injector (shard_kill).
+// matrix is a parameter: shard count, per-shard workers, per-shard
+// residency bound, fault injector (shard_kill).
 shard_run_result run_sharded(
     const std::vector<ivc::sim::session_script>& scripts,
     std::size_t num_sessions, std::size_t shards, std::size_t workers,
-    bool streaming, std::size_t max_resident,
+    std::size_t max_resident,
     std::shared_ptr<const ivc::serve::fault_injector> faults) {
   using ivc::serve::offer_status;
   ivc::serve::serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = ivc::serve::overflow_policy::reject;
-  cfg.worker_threads = streaming ? 1 : workers;
   cfg.max_resident_sessions = max_resident;
   cfg.faults = faults;
   ivc::serve::shard_manager front{trained_detector_cache(), cfg, shards};
@@ -1269,9 +1199,7 @@ shard_run_result run_sharded(
     per_session.pipeline = pipeline;
     front.open_session(per_session);
   }
-  if (streaming) {
-    front.start(workers);
-  }
+  front.start(workers);
   shard_run_result result;
   std::size_t max_blocks = 0;
   for (std::size_t s = 0; s < num_sessions; ++s) {
@@ -1285,18 +1213,11 @@ shard_run_result run_sharded(
       }
       while (front.offer(s, scripts[s].block(round)) ==
              offer_status::rejected) {
-        if (streaming) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        } else {
-          front.drain();
-        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
-      if (streaming && round + 1 == scripts[s].num_blocks()) {
+      if (round + 1 == scripts[s].num_blocks()) {
         front.close(s);
       }
-    }
-    if (!streaming && (round + 1) % 4 == 0) {
-      front.drain();
     }
   }
   front.finish();
@@ -1372,7 +1293,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
 
   const shard_run_result reference =
       run_sharded(scripts, matrix_sessions, /*shards=*/1, /*workers=*/1,
-                  /*streaming=*/false, /*max_resident=*/0, nullptr);
+                  /*max_resident=*/0, nullptr);
   std::size_t reference_events = 0;
   for (const auto& v : reference.verdicts) {
     reference_events += v.size();
@@ -1388,27 +1309,24 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
     const char* name;
     std::size_t shards;
     std::size_t workers;
-    bool streaming;
     std::size_t max_resident;  // per shard; 0 = off
     double shard_kill_rate;
   };
   const std::vector<variant> variants = {
-      {"2 shards fork-join", 2, 2, false, 0, 0.0},
-      {"4 shards 4 workers", 4, 4, false, 0, 0.0},
-      {"4 shards streaming", 4, 2, true, 0, 0.0},
-      {"2 shards evict<=4", 2, 2, false, 4, 0.0},
-      {"4 shards stream evict<=2", 4, 2, true, 2, 0.0},
-      {"2 shards evict<=4 +kill", 2, 2, false, 4, 0.05},
+      {"2 shards", 2, 2, 0, 0.0},
+      {"4 shards 4 workers", 4, 4, 0, 0.0},
+      {"2 shards evict<=4", 2, 2, 4, 0.0},
+      {"4 shards evict<=2", 4, 2, 2, 0.0},
+      {"2 shards evict<=4 +kill", 2, 2, 4, 0.05},
   };
   bool identity_ok = true;
   bool eviction_engaged_ok = true;
   sim::result_table matrix{{"variant"},
-                           {"shards", "workers", "streaming", "bound",
+                           {"shards", "workers", "bound",
                             "wall_s", "evictions", "rehydrations",
                             "shard_kills", "identical"}};
-  std::printf("%-26s %7s %8s %7s %9s %7s %9s %6s %5s\n", "variant", "shards",
-              "workers", "stream", "wall s", "evict", "rehydrate", "kills",
-              "same");
+  std::printf("%-26s %7s %8s %9s %7s %9s %6s %5s\n", "variant", "shards",
+              "workers", "wall s", "evict", "rehydrate", "kills", "same");
   for (const variant& v : variants) {
     std::shared_ptr<const serve::fault_injector> faults;
     if (v.shard_kill_rate > 0.0) {
@@ -1419,7 +1337,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
     }
     const shard_run_result r =
         run_sharded(scripts, matrix_sessions, v.shards, v.workers,
-                    v.streaming, v.max_resident, faults);
+                    v.max_resident, faults);
     bool same = true;
     for (std::size_t s = 0; s < matrix_sessions; ++s) {
       if (!identical_verdicts(reference.verdicts[s], r.verdicts[s]) ||
@@ -1447,8 +1365,8 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
       eviction_engaged_ok = false;
       std::fprintf(stderr, "VACUOUS VARIANT: %s killed no shard\n", v.name);
     }
-    std::printf("%-26s %7zu %8zu %7s %9.2f %7llu %9llu %6llu %5s\n", v.name,
-                v.shards, v.workers, v.streaming ? "yes" : "no", r.wall_s,
+    std::printf("%-26s %7zu %8zu %9.2f %7llu %9llu %6llu %5s\n", v.name,
+                v.shards, v.workers, r.wall_s,
                 static_cast<unsigned long long>(r.eviction.evictions),
                 static_cast<unsigned long long>(r.eviction.rehydrations),
                 static_cast<unsigned long long>(kills),
@@ -1458,7 +1376,6 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
     row.coords = {static_cast<double>(matrix.rows().size())};
     row.metrics = {static_cast<double>(v.shards),
                    static_cast<double>(v.workers),
-                   v.streaming ? 1.0 : 0.0,
                    static_cast<double>(v.max_resident),
                    r.wall_s,
                    static_cast<double>(r.eviction.evictions),
@@ -1529,7 +1446,6 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   serve::serve_config scale_cfg;
   scale_cfg.queue_capacity = 64;
   scale_cfg.policy = serve::overflow_policy::reject;
-  scale_cfg.worker_threads = 1;
   scale_cfg.max_resident_sessions = bound_per_shard;
   serve::shard_manager front{trained_detector_cache(), scale_cfg,
                              scale_shards};
@@ -1680,7 +1596,6 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
                                                        scale_sessions / 16));
   const auto hash_run = [&](std::size_t bound) {
     serve::serve_config cfg = scale_cfg;
-    cfg.worker_threads = 2;
     cfg.max_resident_sessions = bound;
     serve::shard_manager sub{trained_detector_cache(), cfg, scale_shards};
     for (std::size_t s = 0; s < hash_sessions; ++s) {
@@ -1694,10 +1609,12 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
           continue;
         }
         while (sub.offer(s, *block) == serve::offer_status::rejected) {
-          sub.drain();
+          sub.start(2);
+          sub.stop();
         }
       }
-      sub.drain();
+      sub.start(2);
+      sub.stop();
     }
     sub.finish();
     std::vector<std::vector<defense::stream_event>> verdicts;
@@ -1759,7 +1676,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("identity matrix bit-identical across shards/workers/"
-              "modes/eviction/kills: %s",
+              "eviction/kills: %s",
               identity_ok ? "yes" : "NO");
   bench::note("resident working set stayed bounded at scale: %s",
               bounded_ok ? "yes" : "NO");
@@ -1841,7 +1758,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{50.0} : std::vector<double>{20.0, 50.0, 100.0};
   // Fixed worker counts, not hardware-derived: the 1-vs-N determinism
   // check must exercise real concurrency even on a 1-core box
-  // (oversubscribed pools still interleave), and sweeping the same
+  // (oversubscribed workers still interleave), and sweeping the same
   // counts everywhere keeps run-log records comparable across machines.
   std::vector<std::size_t> workers =
       smoke ? std::vector<std::size_t>{1, 4}
@@ -1900,10 +1817,9 @@ int main(int argc, char** argv) {
       std::vector<std::vector<defense::stream_event>> reference;
       for (const std::size_t W : workers) {
         serve::serve_config cfg;
-        cfg.worker_threads = W;
         cfg.queue_capacity = 64;
         cfg.policy = serve::overflow_policy::reject;
-        const combo_result r = run_combo(scripts, S, B, cfg,
+        const combo_result r = run_combo(scripts, S, B, cfg, W,
                                          /*drain_every=*/4);
         if (reference.empty()) {
           reference = r.verdicts;
@@ -1990,11 +1906,10 @@ int main(int argc, char** argv) {
     const std::size_t S = std::min<std::size_t>(session_counts.back(),
                                                 scripts.size());
     serve::serve_config cfg;
-    cfg.worker_threads = workers.back();
     cfg.queue_capacity = 4;
     cfg.policy = serve::overflow_policy::shed_newest;
-    const combo_result r =
-        run_combo(scripts, S, block_ms.front(), cfg, /*drain_every=*/16);
+    const combo_result r = run_combo(scripts, S, block_ms.front(), cfg,
+                                     workers.back(), /*drain_every=*/16);
     const serve::serve_totals& t = r.totals;
     const double offered = static_cast<double>(t.stats.blocks_offered);
     const double shed_fraction =

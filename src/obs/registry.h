@@ -18,7 +18,7 @@
 // Determinism: the serving layer's bit-identity contract extends to
 // telemetry. Counters that sum per-block/per-utterance events are pure
 // functions of the accepted-block order, so their end-of-run values are
-// bit-identical at any worker count and drain mode; counters that count
+// bit-identical at any worker count; counters that count
 // SCHEDULING events (evictions, rehydrations, shard kills) are not.
 // Each metric declares which side it is on at registration
 // (`deterministic`), and deterministic_fingerprint() exports exactly
@@ -193,7 +193,7 @@ class metrics_registry {
   // The deterministic subset only — counters registered
   // deterministic=true, as one sorted {"key": value} object. This is
   // the string the telemetry gate compares bit-for-bit across worker
-  // counts and drain modes.
+  // counts.
   json::value counters_snapshot() const;
   std::string deterministic_fingerprint() const;
 

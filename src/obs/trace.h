@@ -5,7 +5,7 @@
 // detector stages, an utterance index for the ASR/intent/outcome
 // stages. Everything in a span except `wall_s` is a pure function of
 // the accepted-block order, so the retained span sequence is
-// bit-identical at any worker count and in both drain modes (the same
+// bit-identical at any worker count (the same
 // contract as the verdict stream); `wall_s` carries the wall-clock
 // duration alongside and is exempt from every determinism comparison.
 //

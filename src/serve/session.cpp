@@ -207,9 +207,9 @@ detection_session::metric_handles::metric_handles(obs::metrics_registry* reg) {
     return;
   }
   blocks_processed = reg->get_counter("serve_blocks_processed_total");
-  // Shed/reject counts depend on drain timing (a streaming fleet drains
-  // while producers offer; a fork-join fleet queues first), so they are
-  // excluded from the deterministic fingerprint.
+  // Shed/reject counts depend on drain timing (workers drain while
+  // producers offer), so they are excluded from the deterministic
+  // fingerprint.
   blocks_shed = reg->get_counter("serve_blocks_shed_total", {}, false);
   blocks_rejected = reg->get_counter("serve_blocks_rejected_total", {}, false);
   events = reg->get_counter("serve_verdicts_total");
@@ -267,9 +267,9 @@ offer_status detection_session::offer(audio::buffer block) {
   const ts_lock lock{mutex_};
   ++stats_.blocks_offered;
   if (closed_) {
-    // Distinct from `rejected`: a rejected offer succeeds after a
-    // drain, a closed session never accepts again — conflating the two
-    // would livelock the drain-and-retry backpressure loop.
+    // Distinct from `rejected`: a rejected offer succeeds once workers
+    // make room, a closed session never accepts again — conflating the
+    // two would livelock the producer's retry loop.
     ++stats_.blocks_rejected;
     return offer_status::closed;
   }

@@ -7,9 +7,9 @@
 //
 //   * the verdict stream is a pure function of the sequence of ACCEPTED
 //     blocks — workers drain a session exclusively and in FIFO order, so
-//     verdicts are bit-identical at any worker count and any drain
-//     schedule (fork-join drain() or streaming start()/stop());
-//     scheduling only moves the latency numbers;
+//     verdicts are bit-identical at any worker count and any
+//     start()/stop() schedule; scheduling only moves the latency
+//     numbers;
 //   * overflow is explicit: when the ring is full the configured policy
 //     either sheds (newest or oldest, counted per session) or rejects
 //     the offer so the producer can apply backpressure and retry.
@@ -46,7 +46,8 @@ namespace ivc::serve {
 enum class overflow_policy {
   shed_newest,  // drop the offered block (default: protect the backlog)
   shed_oldest,  // evict the oldest queued block, accept the new one
-  reject,       // accept nothing; the producer must drain and retry
+  reject,       // accept nothing; the producer retries once workers
+                // have made room
 };
 
 // Health of one session. Fault containment quarantines a session whose
@@ -101,10 +102,10 @@ struct serve_config {
   std::optional<pipeline_config> pipeline;
   std::size_t queue_capacity = 64;       // blocks per session ring
   overflow_policy policy = overflow_policy::shed_newest;
-  // Worker threads draining sessions. For fork-join drain() this sizes
-  // the common/parallel.h pool (counts the calling thread; 0 = one per
-  // hardware thread). For streaming start() it is the default long-lived
-  // worker count when start(0) is called.
+  // Workers session_manager::start(0) spawns, and so the workers that
+  // finish() uses on a stopped manager (0 = default_thread_count()).
+  // An explicit start(n) overrides it. Only the owning manager's config
+  // counts; a per-session config's value is ignored.
   std::size_t worker_threads = 0;
   // Blocks a worker processes per claim of one session (its scoring
   // batch). 0 = drain the session's queue completely per claim.
@@ -145,7 +146,8 @@ struct serve_config {
 enum class offer_status {
   accepted,     // enqueued (under shed_oldest, possibly evicting a block)
   shed,         // dropped under shed_newest; counted in blocks_shed
-  rejected,     // queue full under reject policy: drain and retry
+  rejected,     // queue full under reject policy: retry once workers
+                // have made room
   closed,       // session is closed: no retry will ever succeed
   quarantined,  // session is parked after a fault: only reopen() helps —
                 // retrying without one would livelock the backpressure
@@ -224,15 +226,15 @@ class detection_session {
   offer_status offer(audio::buffer block);
 
   // Marks end-of-stream: later offers return offer_status::closed, and
-  // the next drain flushes the detector's partial window
-  // (stream_detector::finish).
+  // the worker that next claims the session flushes the detector's
+  // partial window (stream_detector::finish).
   //
   // Lifecycle edges (pinned by tests, not left implicit):
   //   * close() is idempotent — a second close() is a no-op;
   //   * offer() after close() returns offer_status::closed and counts
   //     the bounce in blocks_rejected; queued blocks are still scored;
   //   * closing a session that never accepted a block is fine: the next
-  //     drain runs the (empty) finish flush exactly once.
+  //     worker to claim it runs the (empty) finish flush exactly once.
   void close();
   bool closed() const;
 

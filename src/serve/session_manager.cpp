@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace ivc::serve {
 
@@ -30,7 +31,6 @@ session_manager::session_manager(defense::classifier_detector detector,
     : detector_{std::move(detector)},
       config_{config},
       metrics_{config.metrics.get()},
-      pool_{config.worker_threads},
       evic_{config.latency_bins} {}
 
 session_manager::~session_manager() { stop(); }
@@ -257,48 +257,11 @@ void session_manager::close_all() {
   }
 }
 
-void session_manager::drain() {
-  expects(!streaming(),
-          "session_manager: drain() must not run while streaming workers "
-          "are live — call stop() first");
-  for (;;) {
-    std::vector<std::shared_ptr<detection_session>> ready;
-    {
-      const ts_lock lock{sessions_mutex_};
-      ready.reserve(slots_.size());
-      for (const slot& sl : slots_) {
-        // Evicted sessions are idle by construction: only live ones can
-        // hold work.
-        if (sl.live != nullptr && sl.live->has_work()) {
-          ready.push_back(sl.live);
-        }
-      }
-    }
-    if (ready.empty()) {
-      return;
-    }
-    // One task per ready session: a session is drained by exactly one
-    // worker (process() claims it), so verdict order never depends on
-    // the pool size. The backstop catch is the fleet's containment of
-    // last resort — process() contains stage faults itself, but if an
-    // exception ever escapes it, that session is parked and the OTHER
-    // sessions keep draining instead of the whole process dying in
-    // std::terminate.
-    pool_.parallel_for(ready.size(), [&](std::size_t i) {
-      try {
-        ready[i]->process(config_.max_blocks_per_pass);
-      } catch (const std::exception& e) {
-        ready[i]->force_quarantine(e.what());
-      } catch (...) {
-        ready[i]->force_quarantine("unknown exception escaped process()");
-      }
-    });
-  }
-}
-
 void session_manager::start(std::size_t n_workers) {
-  const std::size_t count =
-      n_workers == 0 ? default_thread_count() : n_workers;
+  std::size_t count = n_workers != 0 ? n_workers : config_.worker_threads;
+  if (count == 0) {
+    count = default_thread_count();
+  }
   {
     // Hold BOTH locks (sessions, then sched — the global order) across
     // seeding and worker spawn: an open_session + offer racing start()
@@ -346,7 +309,7 @@ void session_manager::stop() {
   const ts_lock lock{sched_mutex_};
   // Offers racing with stop() can strand entries after the last worker
   // exits; reset the schedule — the blocks themselves are still queued
-  // in their sessions and the next start()/drain() picks them up.
+  // in their sessions and the next start() picks them up.
   ready_.clear();
   for (sched_state& st : sched_) {
     st = sched_state::idle;
@@ -362,14 +325,11 @@ bool session_manager::reopen(std::uint64_t id) {
   const ts_lock lock{sessions_mutex_};
   expects(id < slots_.size(), "session_manager: unknown session id");
   slot& sl = slots_[id];
-  if (sl.live == nullptr) {
-    // Peek at the frozen state first: reopening is only meaningful for
-    // a quarantined session, and a plain `false` must not change the
-    // resident set.
-    if (snapshot_state(json::from_binary(sl.frozen)) !=
-        session_state::quarantined) {
-      return false;
-    }
+  // Reopening is only meaningful for a quarantined session, and a plain
+  // `false` must not change the resident set: ask the freeze-time hint,
+  // never the frozen image.
+  if (sl.live == nullptr && sl.state_hint != session_state::quarantined) {
+    return false;
   }
   const std::shared_ptr<detection_session> s = ensure_resident(id);
   if (!s->reopen()) {
@@ -390,7 +350,7 @@ void session_manager::notify_ready(std::uint64_t id,
   {
     const ts_lock lock{sched_mutex_};
     if (workers_.empty()) {
-      return;  // not streaming: drain() discovers work by scanning
+      return;  // not streaming: the next start() finds the work by scanning
     }
     if (sched_[id] == sched_state::idle) {
       sched_[id] = sched_state::queued;
@@ -421,10 +381,10 @@ void session_manager::worker_loop() {
     sched_[id] = sched_state::claimed;
     lock.unlock();
 
-    // Same backstop as drain(): a streaming worker thread that lets an
-    // exception escape dies in std::terminate and takes the process with
-    // it. Park the session instead; the worker survives to serve the
-    // rest of the fleet.
+    // Containment of last resort: process() contains stage faults itself,
+    // but a worker thread that lets an exception escape dies in
+    // std::terminate and takes the process with it. Park the session
+    // instead; the worker survives to serve the rest of the fleet.
     try {
       s->process(config_.max_blocks_per_pass);
     } catch (const std::exception& e) {
@@ -456,11 +416,11 @@ void session_manager::worker_loop() {
 
 void session_manager::finish() {
   close_all();
-  // stop() is a no-op when not streaming; when streaming it flushes
-  // everything enqueued, and the scan-based drain sweeps any block a
-  // racing offer left behind.
+  // start() is a no-op while streaming; otherwise its seed scan queues
+  // every session with blocks or an owed flush, including work offered
+  // after an earlier stop(). stop() then drains the queue to empty.
+  start();
   stop();
-  drain();
 }
 
 std::vector<defense::stream_event> session_manager::verdicts(

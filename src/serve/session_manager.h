@@ -1,28 +1,20 @@
 // Multi-stream defense serving layer: N concurrent detection sessions
-// drained by a shared worker pool.
+// served by long-lived worker threads over one ready-queue.
 //
-// The manager owns the sessions and offers two drain disciplines over
-// the same exclusive-claim contract:
+// start(n) spawns n workers that block on a condition-variable
+// ready-queue. A session enqueues itself when an offer()/close() gives
+// it work; a worker claims it exclusively, scores its queued blocks
+// back-to-back (the scoring batch — the per-thread caches under feature
+// extraction are hit instead of rebuilt per window), then re-queues it
+// if more work arrived meanwhile. stop() finishes everything on the
+// ready-queue and joins the workers. No barriers: latency is
+// per-session, not per-slowest-session, which is what arrival-time-paced
+// workloads need. A batch caller that wants a barrier (every queued
+// block scored before it goes on) calls start(n) then stop().
 //
-//   * Fork-join drain(): every pass fans the common/parallel.h pool out
-//     over the sessions that currently have work and barriers on the
-//     slowest — the batch-replay shape. Simple, but a fleet that keeps
-//     offering audio re-arms the pass forever and every pass pays for
-//     its slowest session.
-//   * Streaming start(n)/stop(): n long-lived workers block on a
-//     condition-variable ready-queue. A session enqueues itself when an
-//     offer()/close() gives it work; a worker claims it exclusively,
-//     scores its queued blocks back-to-back (the scoring batch — the
-//     per-thread caches under feature extraction are hit instead of
-//     rebuilt per window), then re-queues it if more work arrived
-//     meanwhile. No barriers: latency is per-session, not
-//     per-slowest-session, which is what arrival-time-paced workloads
-//     need.
-//
-// Because a session is always drained exclusively and in FIFO order
-// under EITHER discipline, per-session verdict streams are bit-identical
-// at any worker count and across the two modes; only latency and
-// throughput move.
+// Because a session is always drained exclusively and in FIFO order,
+// per-session verdict streams are bit-identical at any worker count and
+// any start/stop schedule; only latency and throughput move.
 //
 // Backpressure is explicit and lives at the session queues: a full ring
 // sheds (newest or oldest) or rejects per serve_config::policy, and
@@ -65,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "serve/session.h"
@@ -115,7 +106,7 @@ class session_manager {
   // Opens a new session and returns its id (dense, starting at 0).
   // Thread-safe; sessions may be opened mid-stream while streaming
   // workers run (the new session joins the ready-queue on its first
-  // offer). Do not call concurrently with fork-join drain().
+  // offer).
   std::uint64_t open_session();
 
   // Opens a session with its OWN config — detector stream windowing,
@@ -141,31 +132,25 @@ class session_manager {
   // it is not already queued/claimed.
   offer_status offer(std::uint64_t id, audio::buffer block);
 
-  // Marks a session (or all of them) end-of-stream; the flush happens on
-  // the next drain, or — while streaming — as soon as a worker claims
-  // the session. close() on an evicted session rehydrates it so the
+  // Marks a session (or all of them) end-of-stream; the flush happens as
+  // soon as a worker claims the session (while streaming), or at the next
+  // start(). close() on an evicted session rehydrates it so the
   // flush can run (no-op when the snapshot is already closed+flushed);
   // close_all() skips rehydrating those.
   void close(std::uint64_t id);
   void close_all();
 
-  // Fork-join: runs the worker pool over every session with pending work
-  // until all queues are empty (and closed sessions are flushed). Safe
-  // to call repeatedly; producers may keep offering concurrently, in
-  // which case drain returns once it observes a pass with nothing left
-  // to do. Must not be called while streaming workers run.
-  void drain();
-
-  // Streaming: spawns `n_workers` long-lived worker threads (0 =
-  // default_thread_count()) blocking on the ready-queue, and enqueues
+  // Spawns `n_workers` long-lived worker threads (0 = the manager
+  // config's worker_threads, or default_thread_count() when that is 0
+  // too) blocking on the ready-queue, and enqueues
   // every session that already has work. Idempotent: calling start()
   // while streaming is a no-op (the worker count does not change).
   void start(std::size_t n_workers = 0);
 
-  // Streaming: finishes everything on the ready-queue (including work
-  // sessions re-queue for themselves while stopping), then joins the
-  // workers. Offers that race with stop() may leave queued blocks
-  // behind; they are picked up by the next start() or drain().
+  // Finishes everything on the ready-queue (including work sessions
+  // re-queue for themselves while stopping), then joins the workers.
+  // Offers that race with stop(), or arrive after it, stay queued in
+  // their sessions; the next start() picks them up.
   // Idempotent: stop() without start() is a no-op.
   void stop();
 
@@ -180,8 +165,9 @@ class session_manager {
   // and an evicted quarantined session is rehydrated first.
   bool reopen(std::uint64_t id);
 
-  // close_all() + flush: in streaming mode stops the workers after the
-  // flush; otherwise runs a fork-join drain.
+  // close_all(), start(), stop(): scores every queued block and runs
+  // every owed close() flush, then leaves the manager stopped. Works the
+  // same whether or not workers were running.
   void finish();
 
   // Direct access to a RESIDENT session (throws std::invalid_argument
@@ -284,7 +270,6 @@ class session_manager {
   defense::classifier_detector detector_;
   serve_config config_;
   metric_handles metrics_;
-  thread_pool pool_;
   // Guards slots_ + eviction state; always acquired BEFORE sched_mutex_
   // (offer -> notify_ready). A session mutex may be taken under either —
   // never the other way around.

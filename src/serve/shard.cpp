@@ -1,6 +1,5 @@
 #include "serve/shard.h"
 
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -119,19 +118,6 @@ void shard_manager::close_all() {
   }
 }
 
-void shard_manager::drain() {
-  // Shards are independent lock domains: drain them concurrently, one
-  // thread each driving that shard's own fork-join pool.
-  std::vector<std::thread> drivers;
-  drivers.reserve(shards_.size());
-  for (const std::unique_ptr<session_manager>& sh : shards_) {
-    drivers.emplace_back([&sh] { sh->drain(); });
-  }
-  for (std::thread& t : drivers) {
-    t.join();
-  }
-}
-
 void shard_manager::start(std::size_t workers_per_shard) {
   for (const std::unique_ptr<session_manager>& sh : shards_) {
     sh->start(workers_per_shard);
@@ -154,14 +140,9 @@ bool shard_manager::streaming() const {
 }
 
 void shard_manager::finish() {
-  if (streaming()) {
-    close_all();
-    stop();
-    drain();
-    return;
-  }
   close_all();
-  drain();
+  start();
+  stop();
 }
 
 bool shard_manager::reopen(std::uint64_t id) {

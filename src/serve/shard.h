@@ -8,16 +8,19 @@
 // router in front: a global session id hashes (splitmix64, the same
 // mixer the fault injector uses) onto one of M shards, each a complete
 // session_manager with its own workers, ready-queue, residency bound,
-// and histograms. Shards share the detector weights and (optionally)
-// one serve_config object, nothing else — no cross-shard locks on the
-// offer path.
+// and histograms. Shards share the detector weights, (optionally) one
+// serve_config object, and the router's own table. That table is one
+// lock domain across all shards: every offer() takes routes_mutex_ to
+// look up the route and bump the shard's offer counter, and takes it
+// again when a shard_kill fires, to count the kill. Everything after the
+// lookup — the offer itself, scheduling, eviction — stays inside the
+// session's shard.
 //
 // The determinism contract survives sharding by construction: a
 // session lives entirely on one shard, sessions never interact, and
 // each shard preserves the exclusive-claim FIFO drain — so per-session
 // verdict/outcome streams are bit-identical at ANY shard count, worker
-// count, drain discipline, and eviction schedule. The shard test pins
-// exactly that.
+// count, and eviction schedule. The shard test pins exactly that.
 //
 // shard_kill fault: when the shared fault_config's shard_kill_rate is
 // set (or a pinned schedule entry names a shard), the front
@@ -64,8 +67,8 @@ struct shard_balance {
 
 class shard_manager {
  public:
-  // `config` applies to every shard (worker pool, residency bound and
-  // fault injector are PER SHARD). `num_shards` >= 1.
+  // `config` applies to every shard (residency bound and fault injector
+  // are PER SHARD). `num_shards` >= 1.
   shard_manager(defense::classifier_detector detector, serve_config config,
                 std::size_t num_shards);
 
@@ -100,16 +103,18 @@ class shard_manager {
   void close(std::uint64_t id);
   void close_all();
 
-  // Fork-join drain, all shards concurrently (each uses its own pool).
-  void drain();
-
-  // Streaming: starts `workers_per_shard` long-lived workers on EVERY
-  // shard (0 = each shard's default) — total workers = M x per-shard.
+  // Starts `workers_per_shard` long-lived workers on EVERY shard (0 =
+  // the fleet config's worker_threads, or default_thread_count() when
+  // that is 0 too) — total workers = M x per-shard. stop() drains
+  // and joins every shard; the shards drain concurrently because all of
+  // them were started first.
   void start(std::size_t workers_per_shard = 0);
   void stop();
   bool streaming() const;
 
-  // close_all + flush on every shard.
+  // close_all(), start(), stop() across every shard: every queued block
+  // scored and every owed close() flush run, whether or not the shards
+  // were streaming.
   void finish();
 
   bool reopen(std::uint64_t id);

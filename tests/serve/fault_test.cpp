@@ -2,9 +2,8 @@
 // degradation of the serving layer.
 //
 // The regression test this file exists for: before containment landed,
-// an exception escaping a scoring stage unwound through the worker pool
-// (fork-join) or a detached worker thread (streaming) and killed the
-// whole process in std::terminate. Now it quarantines exactly the
+// an exception escaping a scoring stage unwound through a worker thread
+// and killed the whole process in std::terminate. Now it quarantines exactly the
 // faulted session, fail-closed, while every other session's verdict and
 // outcome streams stay bit-identical to a fault-free run.
 #include "serve/fault.h"
@@ -136,7 +135,6 @@ serve_config fleet_config() {
   serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = overflow_policy::reject;
-  cfg.worker_threads = 2;
   pipeline_config pc;
   pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
   cfg.pipeline = pc;
@@ -152,18 +150,16 @@ struct fleet_result {
   serve_totals totals;
 };
 
-// Offers every stream in `block`-sample slices round-robin, draining
-// every fourth round (fork-join) or continuously (streaming workers).
+// Offers every stream in `block`-sample slices round-robin to a manager
+// running `workers` streaming workers.
 fleet_result run_fleet(const std::vector<audio::buffer>& streams,
-                       std::size_t block, serve_config cfg,
-                       std::size_t streaming_workers = 0) {
+                       std::size_t block, const serve_config& cfg,
+                       std::size_t workers = 2) {
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session();
   }
-  if (streaming_workers > 0) {
-    manager.start(streaming_workers);
-  }
+  manager.start(workers);
   std::size_t max_rounds = 0;
   for (const audio::buffer& st : streams) {
     max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
@@ -181,23 +177,12 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
           streams[s].sample_rate_hz};
       // A quarantined session refuses the offer — that is containment
       // working, not backpressure: skip, never spin.
-      for (;;) {
-        const offer_status st = manager.offer(s, piece);
-        if (st != offer_status::rejected) {
-          break;
-        }
-        if (streaming_workers > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        } else {
-          manager.drain();
-        }
+      while (manager.offer(s, piece) == offer_status::rejected) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
-    if (streaming_workers == 0 && (round + 1) % 4 == 0) {
-      manager.drain();
-    }
   }
-  manager.finish();  // stops streaming workers, then sweeps
+  manager.finish();
   fleet_result r;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     r.verdicts.push_back(manager.verdicts(s));
@@ -244,7 +229,7 @@ void expect_same_verdicts(const std::vector<defense::stream_event>& a,
 // contained — that session quarantines (fail-closed, reported in
 // aggregate()) and every OTHER session's streams are bit-identical to a
 // fault-free run. Under the pre-containment serving layer the injected
-// exception unwound through the worker pool and the whole test died in
+// exception unwound through a worker thread and the whole test died in
 // std::terminate.
 TEST(fault_containment, throwing_recognizer_quarantines_only_its_session) {
   std::vector<audio::buffer> streams;
@@ -292,7 +277,6 @@ TEST(fault_containment, throwing_recognizer_quarantines_only_its_session) {
 
 TEST(fault_containment, detector_fault_auto_reopens_with_backoff) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.backoff_blocks = 4;
   fault_config fc;
   fc.schedule.push_back({fault_kind::detector_throw, /*session=*/0,
@@ -330,7 +314,6 @@ TEST(fault_containment, detector_fault_auto_reopens_with_backoff) {
 
 TEST(fault_containment, corrupt_block_contained_at_ingest_boundary) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   fault_config fc;
   fc.schedule.push_back({fault_kind::corrupt_block, /*session=*/0,
                          /*index=*/1});
@@ -366,7 +349,6 @@ TEST(fault_containment, corrupt_block_contained_at_ingest_boundary) {
 
 TEST(fault_containment, retry_budget_exhaustion_parks_permanently) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.max_reopens = 2;
   cfg.fault_tolerance.backoff_blocks = 1;
   fault_config fc;
@@ -379,8 +361,7 @@ TEST(fault_containment, retry_budget_exhaustion_parks_permanently) {
   for (int i = 0; i < 8; ++i) {
     manager.offer(sid, piece);
   }
-  manager.close(sid);
-  manager.drain();
+  manager.finish();
 
   // Deterministic trajectory: block 0 faults (reopen #1, drop 1 block),
   // block 2 faults (reopen #2, drop 2 blocks), block 5 faults with the
@@ -392,13 +373,12 @@ TEST(fault_containment, retry_budget_exhaustion_parks_permanently) {
   EXPECT_EQ(st.reopens, 2u);
   EXPECT_EQ(st.blocks_dropped_backoff, 3u);
   // Parked sessions refuse offers with a status of their own — distinct
-  // from `rejected` so producers do not spin on a drain that cannot help.
+  // from `rejected` so producers do not spin on a retry that cannot help.
   EXPECT_EQ(manager.offer(sid, piece), offer_status::closed);
 }
 
 TEST(fault_containment, reopen_restores_service_after_quarantine) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.auto_reopen = false;
   cfg.fault_tolerance.backoff_blocks = 2;
   fault_config fc;
@@ -410,7 +390,8 @@ TEST(fault_containment, reopen_restores_service_after_quarantine) {
   const std::uint64_t sid = manager.open_session();
   const audio::buffer piece = audio::silence(0.2, kRate);
   manager.offer(sid, piece);
-  manager.drain();  // block 0 faults; no auto-reopen → parked
+  manager.start(1);  // block 0 faults; no auto-reopen → parked
+  manager.stop();
   EXPECT_EQ(manager.session(sid).state(), session_state::quarantined);
   EXPECT_FALSE(manager.session(sid).last_error().empty());
 
@@ -458,19 +439,73 @@ TEST(fault_containment, reopen_is_a_noop_on_non_quarantined_sessions) {
 
   // Healthy serving session: no-op, nothing counted.
   manager.offer(sid, audio::silence(0.2, kRate));
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   EXPECT_FALSE(manager.reopen(sid));
   EXPECT_EQ(manager.session(sid).state(), session_state::serving);
   EXPECT_EQ(manager.stats(sid).reopens, 0u);
 
-  // Evicted + not quarantined: still false, and the snapshot peek must
-  // leave the session frozen.
+  // Evicted + not quarantined: still false, and the freeze-time state
+  // check must leave the session frozen.
   ASSERT_TRUE(manager.evict(sid));
   ASSERT_FALSE(manager.resident(sid));
   EXPECT_FALSE(manager.reopen(sid));
   EXPECT_FALSE(manager.resident(sid));
   EXPECT_EQ(manager.stats(sid).reopens, 0u);
   EXPECT_EQ(manager.eviction().rehydrations, 0u);
+}
+
+// The frozen half of reopen(): a quarantined session that was evicted
+// rehydrates exactly once on reopen() and then scores new blocks again.
+// The quarantine check reads the freeze-time state hint, so only the
+// `true` path decodes the image.
+TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
+  serve_config cfg = fleet_config();
+  cfg.fault_tolerance.auto_reopen = false;
+  cfg.fault_tolerance.backoff_blocks = 2;
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::detector_throw, /*session=*/0,
+                         /*index=*/0});
+  cfg.faults = std::make_shared<fault_injector>(fc);
+
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  manager.offer(sid, audio::silence(0.2, kRate));
+  manager.start(1);  // block 0 faults; no auto-reopen → parked
+  manager.stop();
+  ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
+  ASSERT_TRUE(manager.evict(sid));
+  ASSERT_FALSE(manager.resident(sid));
+
+  EXPECT_TRUE(manager.reopen(sid));
+  EXPECT_TRUE(manager.resident(sid));
+  EXPECT_EQ(manager.eviction().rehydrations, 1u);
+  EXPECT_EQ(manager.session(sid).state(), session_state::recovering);
+
+  const audio::buffer speech = command_stream(903);
+  const std::size_t block = 4'096;
+  std::uint64_t offered = 0;
+  for (std::size_t start = 0; start < speech.size();
+       start += block, ++offered) {
+    const std::size_t end = std::min(start + block, speech.size());
+    EXPECT_EQ(manager.offer(
+                  sid, audio::buffer{{speech.samples.begin() +
+                                          static_cast<std::ptrdiff_t>(start),
+                                      speech.samples.begin() +
+                                          static_cast<std::ptrdiff_t>(end)},
+                                     kRate}),
+              offer_status::accepted);
+  }
+  manager.finish();
+  const session_stats st = manager.stats(sid);
+  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(st.reopens, 1u);
+  EXPECT_EQ(st.blocks_dropped_backoff, 2u);
+  // Every block queued after the reopen was consumed: scored, or dropped
+  // by the backoff.
+  EXPECT_EQ(st.blocks_processed + st.blocks_dropped_backoff, offered);
+  EXPECT_GT(manager.verdicts(sid).size(), 0u);
+  EXPECT_EQ(manager.eviction().rehydrations, 1u);
 }
 
 TEST(fault_containment, force_quarantine_parks_without_reset) {
@@ -537,7 +572,6 @@ TEST(fault_containment, force_quarantine_races_the_owning_worker) {
 
 TEST(fault_degradation, deadline_overrun_sheds_asr_fail_closed) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   pipeline_config& pc = *cfg.pipeline;
   pc.asr_deadline_s = 1e-9;  // any modeled cost overruns
   pc.degrade_window_s = 100.0;  // everything after the first overrun sheds
@@ -577,10 +611,9 @@ TEST(fault_degradation, deadline_overrun_sheds_asr_fail_closed) {
 // ---- determinism under fault load ------------------------------------
 
 // The chaos invariant: with a fixed fault seed the verdict AND outcome
-// streams are bit-identical at any worker count and in both drain
-// disciplines — faults ride the accepted-block order like everything
-// else in the layer.
-TEST(fault_determinism, streams_identical_across_workers_and_modes) {
+// streams are bit-identical at any worker count — faults ride the
+// accepted-block order like everything else in the layer.
+TEST(fault_determinism, streams_identical_across_worker_counts) {
   std::vector<audio::buffer> streams;
   for (std::uint64_t s = 0; s < 5; ++s) {
     streams.push_back(command_stream(700 + s));
@@ -594,35 +627,21 @@ TEST(fault_determinism, streams_identical_across_workers_and_modes) {
   cfg.faults = std::make_shared<fault_injector>(fc);
   cfg.fault_tolerance.backoff_blocks = 2;
 
-  cfg.worker_threads = 1;
-  const fleet_result reference = run_fleet(streams, 1'024, cfg);
+  const fleet_result reference = run_fleet(streams, 1'024, cfg, 1);
   std::size_t faults_seen = reference.totals.stats.detector_faults +
                             reference.totals.stats.corrupt_blocks +
                             reference.totals.stats.asr_deadline_overruns;
   ASSERT_GT(faults_seen, 0u) << "the sweep must actually inject faults";
 
-  for (const std::size_t workers : {2u, 8u}) {
-    cfg.worker_threads = workers;
-    const fleet_result run = run_fleet(streams, 1'024, cfg);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      expect_same_verdicts(reference.verdicts[s], run.verdicts[s],
-                           "fork-join w=" + std::to_string(workers) +
-                               " session " + std::to_string(s));
-      expect_same_outcomes(reference.outcomes[s], run.outcomes[s],
-                           "fork-join w=" + std::to_string(workers) +
-                               " session " + std::to_string(s));
-    }
-  }
-  for (const std::size_t workers : {1u, 4u}) {
-    cfg.worker_threads = 1;
+  for (const std::size_t workers : {2u, 4u, 8u}) {
     const fleet_result run = run_fleet(streams, 1'024, cfg, workers);
     for (std::size_t s = 0; s < streams.size(); ++s) {
       expect_same_verdicts(reference.verdicts[s], run.verdicts[s],
-                           "streaming w=" + std::to_string(workers) +
-                               " session " + std::to_string(s));
+                           "w=" + std::to_string(workers) + " session " +
+                               std::to_string(s));
       expect_same_outcomes(reference.outcomes[s], run.outcomes[s],
-                           "streaming w=" + std::to_string(workers) +
-                               " session " + std::to_string(s));
+                           "w=" + std::to_string(workers) + " session " +
+                               std::to_string(s));
     }
   }
 }
@@ -635,7 +654,6 @@ TEST(fault_determinism, faults_never_add_executed_commands) {
     streams.push_back(command_stream(800 + s));
   }
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 2;
   const fleet_result clean = run_fleet(streams, 2'048, cfg);
   ASSERT_GT(clean.totals.stats.commands_executed, 0u);
 

@@ -306,20 +306,17 @@ serve_config pipelined_config() {
   return cfg;
 }
 
-// Offers every stream in `block`-sample slices round-robin; fork-join
-// drains or streaming start(workers)/stop per `streaming`. Returns the
-// per-session outcome streams.
+// Offers every stream in `block`-sample slices round-robin to a manager
+// running `workers` streaming workers. Returns the per-session outcome
+// streams.
 std::vector<std::vector<command_outcome>> run_fleet_outcomes(
     const std::vector<audio::buffer>& streams, std::size_t block,
-    serve_config cfg, std::size_t workers, bool streaming) {
-  cfg.worker_threads = streaming ? 1 : workers;
+    const serve_config& cfg, std::size_t workers) {
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session(cfg);  // the per-session override path
   }
-  if (streaming) {
-    manager.start(workers);
-  }
+  manager.start(workers);
   std::size_t max_rounds = 0;
   for (const audio::buffer& st : streams) {
     max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
@@ -336,20 +333,9 @@ std::vector<std::vector<command_outcome>> run_fleet_outcomes(
            streams[s].samples.begin() + static_cast<std::ptrdiff_t>(end)},
           streams[s].sample_rate_hz};
       while (manager.offer(s, piece) == offer_status::rejected) {
-        if (streaming) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        } else {
-          manager.drain();
-        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
-    if (!streaming && (round + 1) % 4 == 0) {
-      manager.drain();
-    }
-  }
-  if (streaming) {
-    manager.close_all();
-    manager.stop();
   }
   manager.finish();
   std::vector<std::vector<command_outcome>> outcomes;
@@ -380,14 +366,12 @@ void expect_identical_outcomes(
 }
 
 // The tentpole contract: the outcome stream is a pure function of the
-// accepted-block order — bit-identical at 1/2/8 workers, in BOTH drain
-// disciplines.
-TEST(serve_pipeline, outcomes_identical_across_workers_and_drain_modes) {
+// accepted-block order — bit-identical at 1/2/8 workers.
+TEST(serve_pipeline, outcomes_identical_across_worker_counts) {
   const std::vector<audio::buffer> streams = command_streams();
   const serve_config cfg = pipelined_config();
 
-  const auto reference =
-      run_fleet_outcomes(streams, 1'024, cfg, 1, /*streaming=*/false);
+  const auto reference = run_fleet_outcomes(streams, 1'024, cfg, 1);
   std::size_t total = 0;
   for (const auto& v : reference) {
     total += v.size();
@@ -396,25 +380,19 @@ TEST(serve_pipeline, outcomes_identical_across_workers_and_drain_modes) {
 
   for (const std::size_t workers : {2u, 8u}) {
     expect_identical_outcomes(
-        reference,
-        run_fleet_outcomes(streams, 1'024, cfg, workers, /*streaming=*/false),
-        "fork-join x" + std::to_string(workers));
-    expect_identical_outcomes(
-        reference,
-        run_fleet_outcomes(streams, 1'024, cfg, workers, /*streaming=*/true),
-        "streaming x" + std::to_string(workers));
+        reference, run_fleet_outcomes(streams, 1'024, cfg, workers),
+        "x" + std::to_string(workers));
   }
 
   // And invariant to the ingest chunking, like the verdict stream.
-  expect_identical_outcomes(
-      reference, run_fleet_outcomes(streams, 997, cfg, 2, /*streaming=*/false),
-      "block 997");
+  expect_identical_outcomes(reference,
+                            run_fleet_outcomes(streams, 997, cfg, 2),
+                            "block 997");
 }
 
 TEST(serve_pipeline, stats_count_outcomes_and_split_asr_latency) {
   const std::vector<audio::buffer> streams = command_streams();
-  serve_config cfg = pipelined_config();
-  cfg.worker_threads = 2;
+  const serve_config cfg = pipelined_config();
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session(cfg);

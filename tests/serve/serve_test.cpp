@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "audio/buffer.h"
 #include "audio/ops.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "defense/classifier.h"
 #include "synth/commands.h"
@@ -54,173 +57,12 @@ audio::buffer session_stream(std::uint64_t seed) {
 }
 
 // Offers every session's stream in `block` sample slices, round-robin
-// across sessions, draining every fourth round; returns the per-session
-// verdict streams.
+// across sessions, to a manager running `workers` streaming workers. A
+// rejected offer retries after a short sleep while the workers make
+// room. Returns the per-session verdict streams.
 std::vector<std::vector<defense::stream_event>> run_fleet(
     const std::vector<audio::buffer>& streams, std::size_t block,
-    serve_config cfg) {
-  session_manager manager{tiny_detector(), cfg};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    manager.open_session();
-  }
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      audio::buffer piece{
-          {streams[s].samples.begin() + static_cast<std::ptrdiff_t>(start),
-           streams[s].samples.begin() + static_cast<std::ptrdiff_t>(end)},
-          streams[s].sample_rate_hz};
-      while (manager.offer(s, piece) == offer_status::rejected) {
-        manager.drain();
-      }
-    }
-    if ((round + 1) % 4 == 0) {
-      manager.drain();
-    }
-  }
-  manager.finish();
-  std::vector<std::vector<defense::stream_event>> verdicts;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    verdicts.push_back(manager.verdicts(s));
-  }
-  return verdicts;
-}
-
-TEST(serve, verdict_streams_identical_at_any_worker_count) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    streams.push_back(session_stream(100 + s));
-  }
-  serve_config cfg;
-  cfg.queue_capacity = 16;
-  cfg.policy = overflow_policy::reject;
-
-  cfg.worker_threads = 1;
-  const auto serial = run_fleet(streams, 1'024, cfg);
-  std::size_t total_events = 0;
-  for (const auto& v : serial) {
-    total_events += v.size();
-  }
-  ASSERT_GT(total_events, 0u);
-
-  for (const std::size_t workers : {3u, 8u}) {
-    cfg.worker_threads = workers;
-    const auto parallel = run_fleet(streams, 1'024, cfg);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t s = 0; s < serial.size(); ++s) {
-      ASSERT_EQ(serial[s].size(), parallel[s].size())
-          << "session " << s << " at " << workers << " workers";
-      for (std::size_t i = 0; i < serial[s].size(); ++i) {
-        EXPECT_EQ(serial[s][i].time_s, parallel[s][i].time_s);
-        EXPECT_EQ(serial[s][i].score, parallel[s][i].score);
-        EXPECT_EQ(serial[s][i].is_attack, parallel[s][i].is_attack);
-      }
-    }
-  }
-}
-
-TEST(serve, reject_policy_bounces_until_drained) {
-  serve_config cfg;
-  cfg.queue_capacity = 2;
-  cfg.policy = overflow_policy::reject;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  const audio::buffer block = audio::silence(0.05, 16'000.0);
-
-  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
-  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
-  EXPECT_EQ(manager.offer(sid, block), offer_status::rejected);
-  EXPECT_EQ(manager.offer(sid, block), offer_status::rejected);
-
-  session_stats st = manager.stats(sid);
-  EXPECT_EQ(st.blocks_accepted, 2u);
-  EXPECT_EQ(st.blocks_rejected, 2u);
-  EXPECT_EQ(st.blocks_shed, 0u);
-
-  // Draining empties the queue; the producer can continue.
-  manager.drain();
-  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
-  manager.finish();
-  st = manager.stats(sid);
-  EXPECT_EQ(st.blocks_processed, 3u);
-}
-
-TEST(serve, shed_newest_drops_the_offered_block) {
-  serve_config cfg;
-  cfg.queue_capacity = 2;
-  cfg.policy = overflow_policy::shed_newest;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  const audio::buffer block = audio::silence(0.05, 16'000.0);
-  for (int i = 0; i < 5; ++i) {
-    manager.offer(sid, block);
-  }
-  const session_stats st = manager.stats(sid);
-  EXPECT_EQ(st.blocks_offered, 5u);
-  EXPECT_EQ(st.blocks_accepted, 2u);
-  EXPECT_EQ(st.blocks_shed, 3u);
-  manager.finish();
-  EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
-}
-
-TEST(serve, shed_oldest_evicts_but_accepts) {
-  serve_config cfg;
-  cfg.queue_capacity = 2;
-  cfg.policy = overflow_policy::shed_oldest;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  const audio::buffer block = audio::silence(0.05, 16'000.0);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
-  }
-  const session_stats st = manager.stats(sid);
-  EXPECT_EQ(st.blocks_accepted, 5u);
-  EXPECT_EQ(st.blocks_shed, 3u);
-  manager.finish();
-  // Only the last `capacity` blocks survive to be scored.
-  EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
-}
-
-TEST(serve, close_rejects_offers_and_flushes_partial_window) {
-  serve_config cfg;
-  cfg.worker_threads = 2;
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  // 0.7 s of speech: less than one full 1 s window, more than the 0.5 s
-  // flush threshold — only finish() can produce the verdict.
-  audio::buffer stream = session_stream(7);
-  stream.samples.resize(static_cast<std::size_t>(0.7 * 16'000.0));
-  manager.offer(sid, stream);
-  manager.drain();
-  EXPECT_TRUE(manager.verdicts(sid).empty());
-
-  manager.close(sid);
-  EXPECT_EQ(manager.offer(sid, stream), offer_status::closed);
-  manager.drain();
-  EXPECT_EQ(manager.verdicts(sid).size(), 1u);
-  // The flush happens exactly once.
-  manager.drain();
-  EXPECT_EQ(manager.verdicts(sid).size(), 1u);
-}
-
-// Streaming counterpart of run_fleet: long-lived workers via
-// start()/stop(), no fork-join drains. A rejected offer retries after a
-// short yield — the workers are draining concurrently.
-std::vector<std::vector<defense::stream_event>> run_fleet_streaming(
-    const std::vector<audio::buffer>& streams, std::size_t block,
-    serve_config cfg, std::size_t workers) {
-  cfg.worker_threads = 1;  // streaming workers come from start(), not the pool
+    const serve_config& cfg, std::size_t workers) {
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session();
@@ -246,9 +88,7 @@ std::vector<std::vector<defense::stream_event>> run_fleet_streaming(
       }
     }
   }
-  manager.close_all();
-  manager.stop();
-  manager.finish();  // sweep anything that raced the stop
+  manager.finish();
   std::vector<std::vector<defense::stream_event>> verdicts;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     verdicts.push_back(manager.verdicts(s));
@@ -256,39 +96,124 @@ std::vector<std::vector<defense::stream_event>> run_fleet_streaming(
   return verdicts;
 }
 
-// The tentpole invariant: the streaming drain mode reproduces the
-// fork-join verdict streams bit-exactly at any worker count — long-lived
-// workers and the ready-queue only change latency, never decisions.
-TEST(serve, streaming_matches_forkjoin_at_any_worker_count) {
+// The layer's invariant: long-lived workers and the ready-queue only
+// change latency, never decisions — every worker count reproduces the
+// 1-worker verdict streams bit-exactly.
+TEST(serve, verdict_streams_identical_at_any_worker_count) {
   std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    streams.push_back(session_stream(200 + s));
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    streams.push_back(session_stream(100 + s));
   }
   serve_config cfg;
   cfg.queue_capacity = 16;
   cfg.policy = overflow_policy::reject;
 
-  cfg.worker_threads = 1;
-  const auto reference = run_fleet(streams, 1'024, cfg);
+  const auto serial = run_fleet(streams, 1'024, cfg, 1);
   std::size_t total_events = 0;
-  for (const auto& v : reference) {
+  for (const auto& v : serial) {
     total_events += v.size();
   }
   ASSERT_GT(total_events, 0u);
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const auto streaming = run_fleet_streaming(streams, 1'024, cfg, workers);
-    ASSERT_EQ(reference.size(), streaming.size());
-    for (std::size_t s = 0; s < reference.size(); ++s) {
-      ASSERT_EQ(reference[s].size(), streaming[s].size())
-          << "session " << s << " at " << workers << " streaming workers";
-      for (std::size_t i = 0; i < reference[s].size(); ++i) {
-        EXPECT_EQ(reference[s][i].time_s, streaming[s][i].time_s);
-        EXPECT_EQ(reference[s][i].score, streaming[s][i].score);
-        EXPECT_EQ(reference[s][i].is_attack, streaming[s][i].is_attack);
+  for (const std::size_t workers : {2u, 3u, 8u}) {
+    const auto parallel = run_fleet(streams, 1'024, cfg, workers);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t s = 0; s < serial.size(); ++s) {
+      ASSERT_EQ(serial[s].size(), parallel[s].size())
+          << "session " << s << " at " << workers << " workers";
+      for (std::size_t i = 0; i < serial[s].size(); ++i) {
+        EXPECT_EQ(serial[s][i].time_s, parallel[s][i].time_s);
+        EXPECT_EQ(serial[s][i].score, parallel[s][i].score);
+        EXPECT_EQ(serial[s][i].is_attack, parallel[s][i].is_attack);
       }
     }
   }
+}
+
+TEST(serve, reject_policy_bounces_until_drained) {
+  serve_config cfg;
+  cfg.queue_capacity = 2;
+  cfg.policy = overflow_policy::reject;
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  const audio::buffer block = audio::silence(0.05, 16'000.0);
+
+  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
+  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
+  EXPECT_EQ(manager.offer(sid, block), offer_status::rejected);
+  EXPECT_EQ(manager.offer(sid, block), offer_status::rejected);
+
+  session_stats st = manager.stats(sid);
+  EXPECT_EQ(st.blocks_accepted, 2u);
+  EXPECT_EQ(st.blocks_rejected, 2u);
+  EXPECT_EQ(st.blocks_shed, 0u);
+
+  // A start/stop pass empties the queue; the producer can continue.
+  manager.start(1);
+  manager.stop();
+  EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
+  manager.finish();
+  st = manager.stats(sid);
+  EXPECT_EQ(st.blocks_processed, 3u);
+}
+
+TEST(serve, shed_newest_drops_the_offered_block) {
+  serve_config cfg;
+  cfg.queue_capacity = 2;
+  cfg.policy = overflow_policy::shed_newest;
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  const audio::buffer block = audio::silence(0.05, 16'000.0);
+  for (int i = 0; i < 5; ++i) {
+    manager.offer(sid, block);
+  }
+  const session_stats st = manager.stats(sid);
+  EXPECT_EQ(st.blocks_offered, 5u);
+  EXPECT_EQ(st.blocks_accepted, 2u);
+  EXPECT_EQ(st.blocks_shed, 3u);
+  manager.finish();
+  EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
+}
+
+TEST(serve, shed_oldest_evicts_but_accepts) {
+  serve_config cfg;
+  cfg.queue_capacity = 2;
+  cfg.policy = overflow_policy::shed_oldest;
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  const audio::buffer block = audio::silence(0.05, 16'000.0);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
+  }
+  const session_stats st = manager.stats(sid);
+  EXPECT_EQ(st.blocks_accepted, 5u);
+  EXPECT_EQ(st.blocks_shed, 3u);
+  manager.finish();
+  // Only the last `capacity` blocks survive to be scored.
+  EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
+}
+
+TEST(serve, close_rejects_offers_and_flushes_partial_window) {
+  session_manager manager{tiny_detector()};
+  const std::uint64_t sid = manager.open_session();
+  // 0.7 s of speech: less than one full 1 s window, more than the 0.5 s
+  // flush threshold — only the close() flush can produce the verdict.
+  audio::buffer stream = session_stream(7);
+  stream.samples.resize(static_cast<std::size_t>(0.7 * 16'000.0));
+  manager.offer(sid, stream);
+  manager.start(2);
+  manager.stop();
+  EXPECT_TRUE(manager.verdicts(sid).empty());
+
+  manager.close(sid);
+  EXPECT_EQ(manager.offer(sid, stream), offer_status::closed);
+  manager.start(2);
+  manager.stop();
+  EXPECT_EQ(manager.verdicts(sid).size(), 1u);
+  // The flush happens exactly once.
+  manager.start(2);
+  manager.stop();
+  EXPECT_EQ(manager.verdicts(sid).size(), 1u);
 }
 
 TEST(serve, streaming_start_stop_idempotent_with_mid_stream_opens) {
@@ -317,7 +242,6 @@ TEST(serve, streaming_start_stop_idempotent_with_mid_stream_opens) {
   manager.stop();
   EXPECT_FALSE(manager.streaming());
   manager.stop();  // idempotent no-op when not streaming
-  manager.finish();
 
   for (const std::uint64_t id : {first, second}) {
     const session_stats st = manager.stats(id);
@@ -325,8 +249,54 @@ TEST(serve, streaming_start_stop_idempotent_with_mid_stream_opens) {
     EXPECT_GT(manager.verdicts(id).size(), 0u) << "session " << id;
   }
 
+  // Work offered AFTER stop() waits in its session until finish() scores
+  // it and runs its close() flush — exactly once. 0.7 s of speech is
+  // under one full window but over the flush threshold, so the one
+  // verdict can only come from that flush.
+  const std::uint64_t third = manager.open_session();
+  audio::buffer partial = session_stream(7);
+  partial.samples.resize(static_cast<std::size_t>(0.7 * 16'000.0));
+  ASSERT_EQ(manager.offer(third, partial), offer_status::accepted);
+  manager.finish();
+  EXPECT_FALSE(manager.streaming());
+  EXPECT_EQ(manager.stats(third).blocks_processed, 1u);
+  EXPECT_EQ(manager.verdicts(third).size(), 1u);
+  manager.finish();
+  EXPECT_EQ(manager.verdicts(third).size(), 1u);
+
   // A fresh start() after stop() works (and drains nothing new).
   manager.start(1);
+  manager.stop();
+}
+
+// start(0) — and so finish() on a stopped manager — spawns the manager
+// config's worker_threads; an explicit start(n) overrides it. Counted
+// as the threads the process gains (Linux /proc).
+TEST(serve, start_zero_spawns_config_worker_threads) {
+  const std::filesystem::path tasks{"/proc/self/task"};
+  if (!std::filesystem::exists(tasks)) {
+    GTEST_SKIP() << "no per-thread listing on this platform";
+  }
+  const auto threads = [&] {
+    return std::distance(std::filesystem::directory_iterator{tasks},
+                         std::filesystem::directory_iterator{});
+  };
+  // A joined thread can stay listed for a moment after join() returns.
+  const auto settled = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return threads();
+  };
+  serve_config cfg;
+  cfg.worker_threads = default_thread_count() + 1;  // not the default
+  session_manager manager{tiny_detector(), cfg};
+  auto before = settled();
+  manager.start();
+  EXPECT_EQ(threads() - before,
+            static_cast<std::ptrdiff_t>(cfg.worker_threads));
+  manager.stop();
+  before = settled();
+  manager.start(2);
+  EXPECT_EQ(threads() - before, 2);
   manager.stop();
 }
 
@@ -404,9 +374,7 @@ TEST(serve, verdict_snapshots_are_safe_while_streaming) {
 // The queue-wait / service decomposition: every processed block records
 // one sample in each histogram, and the parts sum to about the total.
 TEST(serve, latency_split_accounts_every_block) {
-  serve_config cfg;
-  cfg.worker_threads = 2;
-  session_manager manager{tiny_detector(), cfg};
+  session_manager manager{tiny_detector()};
   const std::uint64_t sid = manager.open_session();
   manager.offer(sid, session_stream(12));
   manager.finish();
@@ -420,9 +388,7 @@ TEST(serve, latency_split_accounts_every_block) {
 }
 
 TEST(serve, aggregate_sums_sessions_and_latency) {
-  serve_config cfg;
-  cfg.worker_threads = 2;
-  session_manager manager{tiny_detector(), cfg};
+  session_manager manager{tiny_detector()};
   const audio::buffer stream = session_stream(11);
   for (int s = 0; s < 3; ++s) {
     manager.open_session();
@@ -445,31 +411,29 @@ TEST(serve, aggregate_sums_sessions_and_latency) {
 // ---- lifecycle edges (pinned, not left implicit) ---------------------
 
 TEST(serve, close_is_idempotent) {
-  serve_config cfg;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
+  session_manager manager{tiny_detector()};
   const std::uint64_t sid = manager.open_session();
   manager.offer(sid, session_stream(21));
   manager.close(sid);
   manager.close(sid);  // second close: no-op, no double flush
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   const std::size_t verdicts = manager.verdicts(sid).size();
   EXPECT_GT(verdicts, 0u);
   manager.close(sid);  // close after the flush: still a no-op
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   EXPECT_EQ(manager.verdicts(sid).size(), verdicts);
 }
 
 TEST(serve, offer_after_close_bounces_and_counts) {
-  serve_config cfg;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
+  session_manager manager{tiny_detector()};
   const std::uint64_t sid = manager.open_session();
   const audio::buffer block = audio::silence(0.1, 16'000.0);
   EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
   manager.close(sid);
   // Offers after close() return `closed` — a terminal status, distinct
-  // from `rejected` (which invites drain-and-retry) — and each bounce is
+  // from `rejected` (which invites a retry) — and each bounce is
   // counted against blocks_rejected.
   EXPECT_EQ(manager.offer(sid, block), offer_status::closed);
   EXPECT_EQ(manager.offer(sid, block), offer_status::closed);
@@ -478,26 +442,37 @@ TEST(serve, offer_after_close_bounces_and_counts) {
   EXPECT_EQ(st.blocks_accepted, 1u);
   EXPECT_EQ(st.blocks_rejected, 2u);
   // The block accepted BEFORE the close is still scored.
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   st = manager.stats(sid);
   EXPECT_EQ(st.blocks_processed, 1u);
 }
 
 TEST(serve, finish_on_never_offered_session_flushes_once) {
-  serve_config cfg;
-  cfg.worker_threads = 1;
-  session_manager manager{tiny_detector(), cfg};
+  // A manager that is never started: finish() alone must score every
+  // accepted block and run every close() flush.
+  session_manager manager{tiny_detector()};
   const std::uint64_t sid = manager.open_session();
+  // A second session holds 0.7 s of speech: the one verdict it owes can
+  // only come from its close() flush.
+  const std::uint64_t partial_sid = manager.open_session();
+  audio::buffer partial = session_stream(7);
+  partial.samples.resize(static_cast<std::size_t>(0.7 * 16'000.0));
+  ASSERT_EQ(manager.offer(partial_sid, partial), offer_status::accepted);
   // Close a session that never accepted a block: the (empty) end-of-
   // stream flush runs exactly once and produces nothing.
   manager.finish();
+  EXPECT_FALSE(manager.streaming());
   session_stats st = manager.stats(sid);
   EXPECT_EQ(st.blocks_processed, 0u);
   EXPECT_EQ(st.events, 0u);
   EXPECT_TRUE(manager.verdicts(sid).empty());
-  // Repeat drains do not re-run the flush.
-  manager.drain();
+  EXPECT_EQ(manager.stats(partial_sid).blocks_processed, 1u);
+  EXPECT_EQ(manager.verdicts(partial_sid).size(), 1u);
+  // A repeat finish() does not re-run either flush.
+  manager.finish();
   EXPECT_TRUE(manager.verdicts(sid).empty());
+  EXPECT_EQ(manager.verdicts(partial_sid).size(), 1u);
   EXPECT_EQ(manager.session(sid).state(), session_state::serving);
 }
 

@@ -4,9 +4,9 @@
 // The load-bearing claim: sharding is INVISIBLE in the streams. A
 // session's verdict/outcome streams are a pure function of its accepted
 // sample sequence, so they are bit-identical at any shard count, any
-// per-shard worker count, in both drain disciplines, with eviction on
-// or off — and under shard_kill faults, because a killed shard drops to
-// bit-exact snapshots. Only placement, latency, and throughput move.
+// per-shard worker count, with eviction on or off — and under
+// shard_kill faults, because a killed shard drops to bit-exact
+// snapshots. Only placement, latency, and throughput move.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,7 +74,6 @@ serve_config fleet_config() {
   serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = overflow_policy::reject;
-  cfg.worker_threads = 2;
   pipeline_config pc;
   pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
   cfg.pipeline = pc;
@@ -117,24 +116,25 @@ struct fleet_result {
 struct fleet_params {
   std::size_t shards = 1;
   std::size_t workers = 2;           // per shard
-  bool streaming = false;            // fork-join otherwise
   std::size_t max_resident = 0;      // per shard; 0 = unbounded
   std::shared_ptr<const fault_injector> faults;
 };
 
+// Offers every stream round-robin to a streaming front. Every fourth
+// round the producer waits for the workers (stop, then start again), so
+// each session goes idle mid-stream: eviction and shard_kill then have
+// idle sessions to freeze, while the offers in between race live
+// workers.
 fleet_result run_fleet(const std::vector<audio::buffer>& streams,
                        std::size_t block, const fleet_params& p) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = p.workers;
   cfg.max_resident_sessions = p.max_resident;
   cfg.faults = p.faults;
   shard_manager front{tiny_detector(), cfg, p.shards};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     front.open_session();
   }
-  if (p.streaming) {
-    front.start(p.workers);
-  }
+  front.start(p.workers);
   std::size_t max_rounds = 0;
   for (const audio::buffer& st : streams) {
     max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
@@ -149,8 +149,9 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
       EXPECT_EQ(front.offer(s, cut(streams[s], start, end)),
                 offer_status::accepted);
     }
-    if (!p.streaming && round % 4 == 3) {
-      front.drain();
+    if (round % 4 == 3) {
+      front.stop();
+      front.start(p.workers);
     }
   }
   front.finish();
@@ -180,7 +181,7 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
   const std::vector<audio::buffer> streams = fleet_streams(8);
   const std::size_t block = 2'048;
 
-  // Reference: one shard, one worker, fork-join, no eviction.
+  // Reference: one shard, one worker, no eviction.
   fleet_params ref_p;
   ref_p.shards = 1;
   ref_p.workers = 1;
@@ -197,20 +198,16 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
     fleet_params p;
   };
   std::vector<case_t> cases;
-  cases.push_back({"2 shards, fork-join", {}});
+  cases.push_back({"2 shards", {}});
   cases.back().p.shards = 2;
-  cases.push_back({"4 shards, 4 workers, fork-join", {}});
+  cases.push_back({"4 shards, 4 workers", {}});
   cases.back().p.shards = 4;
   cases.back().p.workers = 4;
-  cases.push_back({"4 shards, streaming", {}});
-  cases.back().p.shards = 4;
-  cases.back().p.streaming = true;
   cases.push_back({"2 shards, eviction bound 2", {}});
   cases.back().p.shards = 2;
   cases.back().p.max_resident = 2;
-  cases.push_back({"4 shards, streaming, eviction bound 1", {}});
+  cases.push_back({"4 shards, eviction bound 1", {}});
   cases.back().p.shards = 4;
-  cases.back().p.streaming = true;
   cases.back().p.max_resident = 1;
 
   for (const case_t& c : cases) {
@@ -314,14 +311,13 @@ TEST(shard, shard_kill_is_invisible_in_the_streams) {
 // ---- balance + eviction counters under streaming drain ---------------
 
 // balance() is the fleet operator's load view; this pins its counters
-// while the hard mode runs — streaming workers (start/stop) with a
-// per-shard residency bound forcing the evict/rehydrate cycle.
+// while the hard mode runs — live workers with a per-shard residency
+// bound forcing the evict/rehydrate cycle.
 TEST(shard, balance_counts_evictions_under_streaming_drain) {
   const std::vector<audio::buffer> streams = fleet_streams(8);
   fleet_params p;
   p.shards = 2;
   p.workers = 2;
-  p.streaming = true;
   p.max_resident = 1;  // per shard: every round trips the eviction heap
   const fleet_result r = run_fleet(streams, 2'048, p);
 
@@ -376,6 +372,43 @@ TEST(shard, balance_counts_evictions_under_streaming_drain) {
                          "session " + std::to_string(s));
     expect_same_outcomes(single.outcomes[s], r.outcomes[s],
                          "session " + std::to_string(s));
+  }
+}
+
+// ---- finish() flush contract -----------------------------------------
+
+// finish() is close_all + start + stop on every shard. It must score
+// every accepted block and run every close() flush exactly once, both on
+// a front that was never started and on one whose blocks arrived after
+// stop(). 0.7 s of audio is under one full window but over the flush
+// threshold, so each session's one verdict can only come from its
+// close() flush.
+TEST(shard, finish_scores_every_block_and_flushes_once) {
+  const serve_config cfg;  // detector only: the flush is under test
+  for (const bool started : {false, true}) {
+    shard_manager front{tiny_detector(), cfg, 2};
+    for (std::size_t s = 0; s < 4; ++s) {
+      front.open_session();
+    }
+    if (started) {
+      front.start(2);
+      front.stop();
+    }
+    for (std::uint64_t id = 0; id < 4; ++id) {
+      ASSERT_EQ(front.offer(id, cut(command_stream(600 + id), 0,
+                                    static_cast<std::size_t>(0.7 * kRate))),
+                offer_status::accepted);
+    }
+    for (int pass = 0; pass < 2; ++pass) {  // a repeat finish() is a no-op
+      front.finish();
+      EXPECT_FALSE(front.streaming());
+      for (std::uint64_t id = 0; id < 4; ++id) {
+        EXPECT_EQ(front.stats(id).blocks_processed, 1u)
+            << "started " << started << ", session " << id;
+        EXPECT_EQ(front.verdicts(id).size(), 1u)
+            << "started " << started << ", session " << id;
+      }
+    }
   }
 }
 

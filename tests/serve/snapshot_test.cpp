@@ -82,7 +82,6 @@ serve_config fleet_config() {
   serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = overflow_policy::reject;
-  cfg.worker_threads = 2;
   pipeline_config pc;
   pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
   cfg.pipeline = pc;
@@ -382,14 +381,10 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
   const audio::buffer stream = audio::remove_dc(audio::concat(parts));
   const std::size_t block = 1'024;
 
-  auto run = [&](std::size_t workers, bool streaming) {
-    serve_config c = cfg;
-    c.worker_threads = workers;
-    session_manager manager{tiny_detector(), c};
+  auto run = [&](std::size_t workers) {
+    session_manager manager{tiny_detector(), cfg};
     const std::uint64_t sid = manager.open_session();
-    if (streaming) {
-      manager.start(workers);
-    }
+    manager.start(workers);
     for (std::size_t start = 0; start < stream.size(); start += block) {
       const std::size_t end = std::min(start + block, stream.size());
       const audio::buffer piece = cut(stream, start, end);
@@ -397,14 +392,7 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
       // worker catches up — every block must reach the session or the
       // bit-identity comparison below would be vacuous.
       while (manager.offer(sid, piece) == offer_status::rejected) {
-        if (streaming) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        } else {
-          manager.drain();
-        }
-      }
-      if (!streaming && (start / block) % 8 == 7) {
-        manager.drain();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
     }
     manager.finish();
@@ -412,7 +400,7 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
                            manager.stats(sid), manager.session(sid).state());
   };
 
-  const auto [v1, o1, st1, state1] = run(1, false);
+  const auto [v1, o1, st1, state1] = run(1);
   // The fault fired, checkpoints were taken, and recovery came from a
   // checkpoint rather than a cold stage reset.
   EXPECT_EQ(st1.detector_faults, 1u);
@@ -431,16 +419,15 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
     }
   }
 
-  // Identical at any worker count and in both drain disciplines — the
-  // checkpoint schedule is block-counted, never wall clock.
-  const auto [v4, o4, st4, state4] = run(4, false);
-  const auto [vs, os, sts, states] = run(3, true);
-  expect_same_verdicts(v1, v4, "fork-join 4 workers");
-  expect_same_outcomes(o1, o4, "fork-join 4 workers");
-  expect_same_verdicts(v1, vs, "streaming 3 workers");
-  expect_same_outcomes(o1, os, "streaming 3 workers");
-  EXPECT_EQ(st4.snapshot_restores, 1u);
-  EXPECT_EQ(sts.snapshot_restores, 1u);
+  // Identical at any worker count — the checkpoint schedule is
+  // block-counted, never wall clock.
+  for (const std::size_t workers : {3u, 4u}) {
+    const auto [v, o, st, state] = run(workers);
+    const std::string what = std::to_string(workers) + " workers";
+    expect_same_verdicts(v1, v, what);
+    expect_same_outcomes(o1, o, what);
+    EXPECT_EQ(st.snapshot_restores, 1u) << what;
+  }
 }
 
 // ---- manager eviction ------------------------------------------------
@@ -468,8 +455,9 @@ TEST(snapshot, manager_enforces_residency_bound_transparently) {
     for (const audio::buffer& st : streams) {
       max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
     }
-    // Drain every round so sessions go idle — exactly the shape that
-    // lets the LRU evict between one session's bursts.
+    // Wait for the workers every round (start, then stop) so sessions
+    // go idle — exactly the shape that lets the LRU evict between one
+    // session's bursts.
     for (std::size_t round = 0; round < max_rounds; ++round) {
       for (std::size_t s = 0; s < streams.size(); ++s) {
         const std::size_t start = round * block;
@@ -479,7 +467,8 @@ TEST(snapshot, manager_enforces_residency_bound_transparently) {
         const std::size_t end = std::min(start + block, streams[s].size());
         manager.offer(s, cut(streams[s], start, end));
       }
-      manager.drain();
+      manager.start(2);
+      manager.stop();
     }
     manager.finish();
     fleet_result out;
@@ -519,7 +508,8 @@ TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
     const std::size_t end = std::min(start + 4'096, stream.size());
     manager.offer(sid, cut(stream, start, end));
   }
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   const std::vector<defense::stream_event> before_v = manager.verdicts(sid);
   const std::vector<command_outcome> before_o = manager.outcomes(sid);
   const session_stats before_st = manager.stats(sid);

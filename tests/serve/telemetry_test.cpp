@@ -5,7 +5,7 @@
 // The load-bearing claim mirrors the serving layer's own: every
 // DETERMINISTIC telemetry output — the registry's fingerprint and the
 // wall-clock-stripped span traces — is bit-identical at any worker
-// count and in both drain disciplines, because it sums per-block and
+// count, because it sums per-block and
 // per-utterance events that are pure functions of the accepted-block
 // order. Wall-clock fields ride alongside and are exempt.
 #include "serve/telemetry.h"
@@ -79,7 +79,6 @@ serve_config fleet_config() {
   serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = overflow_policy::reject;
-  cfg.worker_threads = 2;
   pipeline_config pc;
   pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
   cfg.pipeline = pc;
@@ -100,21 +99,18 @@ struct telemetry_run {
   serve_totals totals;
 };
 
-// Offers every stream in 1024-sample slices round-robin, with a FRESH
-// registry per run — the telemetry gate compares end-of-run counter
-// values, so runs must not accumulate into a shared registry.
+// Offers every stream in 1024-sample slices round-robin to `workers`
+// streaming workers, with a FRESH registry per run — the telemetry gate
+// compares end-of-run counter values, so runs must not accumulate into a
+// shared registry.
 telemetry_run run_fleet(const std::vector<audio::buffer>& streams,
-                        serve_config cfg, std::size_t workers,
-                        bool streaming) {
-  cfg.worker_threads = workers;
+                        serve_config cfg, std::size_t workers) {
   cfg.metrics = std::make_shared<obs::metrics_registry>();
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session();
   }
-  if (streaming) {
-    manager.start(workers);
-  }
+  manager.start(workers);
   const std::size_t block = 1'024;
   std::size_t max_rounds = 0;
   for (const audio::buffer& st : streams) {
@@ -127,20 +123,10 @@ telemetry_run run_fleet(const std::vector<audio::buffer>& streams,
         continue;
       }
       const std::size_t end = std::min(start + block, streams[s].size());
-      for (;;) {
-        const offer_status st = manager.offer(s, cut(streams[s], start, end));
-        if (st != offer_status::rejected) {
-          break;
-        }
-        if (streaming) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        } else {
-          manager.drain();
-        }
+      while (manager.offer(s, cut(streams[s], start, end)) ==
+             offer_status::rejected) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
-    }
-    if (!streaming && (round + 1) % 4 == 0) {
-      manager.drain();
     }
   }
   manager.finish();
@@ -156,14 +142,13 @@ telemetry_run run_fleet(const std::vector<audio::buffer>& streams,
 
 // ---- the determinism gate --------------------------------------------
 
-TEST(telemetry_determinism, fingerprints_identical_across_workers_and_modes) {
+TEST(telemetry_determinism, fingerprints_identical_across_worker_counts) {
   std::vector<audio::buffer> streams;
   for (std::uint64_t s = 0; s < 3; ++s) {
     streams.push_back(command_stream(600 + s));
   }
   const serve_config cfg = fleet_config();
-  const telemetry_run reference =
-      run_fleet(streams, cfg, /*workers=*/1, /*streaming=*/false);
+  const telemetry_run reference = run_fleet(streams, cfg, /*workers=*/1);
   // The gate must compare real numbers, not empty objects.
   ASSERT_NE(reference.fingerprint.find("serve_blocks_processed_total"),
             std::string::npos);
@@ -172,18 +157,12 @@ TEST(telemetry_determinism, fingerprints_identical_across_workers_and_modes) {
     ASSERT_NE(reference.traces[s], "[]") << "session " << s;
   }
 
-  const struct {
-    std::size_t workers;
-    bool streaming;
-  } matrix[] = {{2, false}, {8, false}, {1, true}, {4, true}};
-  for (const auto& m : matrix) {
-    const telemetry_run run = run_fleet(streams, cfg, m.workers, m.streaming);
-    EXPECT_EQ(reference.fingerprint, run.fingerprint)
-        << (m.streaming ? "streaming" : "fork-join") << " w=" << m.workers;
+  for (const std::size_t workers : {2u, 4u, 8u}) {
+    const telemetry_run run = run_fleet(streams, cfg, workers);
+    EXPECT_EQ(reference.fingerprint, run.fingerprint) << "w=" << workers;
     for (std::size_t s = 0; s < streams.size(); ++s) {
       EXPECT_EQ(reference.traces[s], run.traces[s])
-          << (m.streaming ? "streaming" : "fork-join") << " w=" << m.workers
-          << " session " << s;
+          << "w=" << workers << " session " << s;
     }
   }
 }
@@ -230,7 +209,6 @@ TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
 
 TEST(flight_recorder, quarantine_dump_carries_stage_and_error) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.auto_reopen = false;  // park on first fault
   fault_config fc;
   fc.schedule.push_back({fault_kind::recognizer_throw, /*session=*/0,
@@ -288,7 +266,6 @@ TEST(flight_recorder, quarantine_dump_carries_stage_and_error) {
 
 TEST(flight_recorder, retried_quarantines_dump_too) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.backoff_blocks = 2;  // auto_reopen stays on
   fault_config fc;
   fc.schedule.push_back({fault_kind::detector_throw, /*session=*/0,
@@ -325,7 +302,6 @@ TEST(flight_recorder, retried_quarantines_dump_too) {
 
 TEST(flight_recorder, trace_survives_eviction_bit_exactly) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   session_manager manager{tiny_detector(), cfg};
   const std::uint64_t sid = manager.open_session();
   const audio::buffer stream = command_stream(702);
@@ -334,7 +310,8 @@ TEST(flight_recorder, trace_survives_eviction_bit_exactly) {
     manager.offer(sid, cut(stream, start,
                            std::min(start + block, stream.size())));
   }
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   const std::vector<obs::span> before = manager.trace(sid);
   ASSERT_FALSE(before.empty());
 
@@ -358,7 +335,6 @@ TEST(flight_recorder, trace_survives_eviction_bit_exactly) {
 
 TEST(flight_recorder, quarantine_errors_survive_eviction_via_hints) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.auto_reopen = false;
   fault_config fc;
   fc.schedule.push_back({fault_kind::corrupt_block, /*session=*/0,
@@ -367,7 +343,8 @@ TEST(flight_recorder, quarantine_errors_survive_eviction_via_hints) {
   session_manager manager{tiny_detector(), cfg};
   const std::uint64_t sid = manager.open_session();
   manager.offer(sid, audio::silence(0.2, kRate));
-  manager.drain();
+  manager.start(1);
+  manager.stop();
   ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
   const std::string error = manager.session(sid).last_error();
 
@@ -386,7 +363,6 @@ TEST(flight_recorder, quarantine_errors_survive_eviction_via_hints) {
 
 TEST(shard_telemetry, balance_reports_quarantine_errors_with_global_ids) {
   serve_config cfg = fleet_config();
-  cfg.worker_threads = 1;
   cfg.fault_tolerance.auto_reopen = false;
   fault_config fc;
   fc.detector_throw_rate = 1.0;  // every session parks on block 0
@@ -448,7 +424,8 @@ TEST(fleet_sampler, appends_probe_samples_as_jsonl) {
   for (int s = 0; s < 3; ++s) {
     manager.offer(static_cast<std::uint64_t>(s), audio::silence(0.3, kRate));
   }
-  manager.drain();
+  manager.start(2);
+  manager.stop();
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   sampler.stop();
   const std::size_t samples = sampler.samples();
