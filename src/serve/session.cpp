@@ -626,15 +626,7 @@ std::size_t detection_session::process(std::size_t max_blocks) {
         // pending utterances flush fail-closed inside contain_fault.
         {
           const ts_lock lock{mutex_};
-          verdicts_.insert(verdicts_.end(), events.begin(), events.end());
-          stats_.events += events.size();
-          std::uint64_t attacks = 0;
-          for (const defense::stream_event& ev : events) {
-            attacks += ev.is_attack ? 1 : 0;
-          }
-          stats_.attack_events += attacks;
-          metrics_.events.inc(events.size());
-          metrics_.attack_events.inc(attacks);
+          record_verdicts(events);
         }
         contain_fault(&session_stats::recognizer_faults, e.what());
         continue;
@@ -653,19 +645,11 @@ std::size_t detection_session::process(std::size_t max_blocks) {
         std::chrono::duration<double>(piped - item.enqueued).count();
     {
       const ts_lock lock{mutex_};
-      verdicts_.insert(verdicts_.end(), events.begin(), events.end());
+      record_verdicts(events);
       ++stats_.blocks_processed;
       stats_.samples_processed += samples;
       stats_.audio_s_processed += static_cast<double>(samples) / rate;
-      stats_.events += events.size();
-      std::uint64_t attacks = 0;
-      for (const defense::stream_event& e : events) {
-        attacks += e.is_attack ? 1 : 0;
-      }
-      stats_.attack_events += attacks;
       metrics_.blocks_processed.inc();
-      metrics_.events.inc(events.size());
-      metrics_.attack_events.inc(attacks);
       stats_.latency.record(latency_s);
       stats_.queue_wait.record(queue_wait_s);
       stats_.service.record(service_s);
@@ -741,21 +725,28 @@ std::size_t detection_session::process(std::size_t max_blocks) {
   }
   {
     const ts_lock lock{mutex_};
-    verdicts_.insert(verdicts_.end(), tail.begin(), tail.end());
-    stats_.events += tail.size();
-    std::uint64_t attacks = 0;
-    for (const defense::stream_event& e : tail) {
-      attacks += e.is_attack ? 1 : 0;
-    }
-    stats_.attack_events += attacks;
-    metrics_.events.inc(tail.size());
-    metrics_.attack_events.inc(attacks);
+    record_verdicts(tail);
     record_outcomes(tail_outcomes);
   }
   if (!pipeline_ok) {
     contain_fault(&session_stats::recognizer_faults, pipeline_error);
   }
   return processed;
+}
+
+// Appends detector verdicts and counts them, in the session stats and
+// the fleet registry alike. Caller holds mutex_.
+void detection_session::record_verdicts(
+    const std::vector<defense::stream_event>& events) {
+  verdicts_.insert(verdicts_.end(), events.begin(), events.end());
+  std::uint64_t attacks = 0;
+  for (const defense::stream_event& e : events) {
+    attacks += e.is_attack ? 1 : 0;
+  }
+  stats_.events += events.size();
+  stats_.attack_events += attacks;
+  metrics_.events.inc(events.size());
+  metrics_.attack_events.inc(attacks);
 }
 
 // Appends pipeline outcomes and folds them into the counters and the

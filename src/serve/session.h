@@ -311,6 +311,9 @@ class detection_session {
 
   // Pops the oldest queued block; false when the queue is empty.
   bool pop(queued_block& out) IVC_EXCLUDES(mutex_);
+  // Folds detector verdicts into verdicts_/stats_/the registry.
+  void record_verdicts(const std::vector<defense::stream_event>& events)
+      IVC_REQUIRES(mutex_);
   // Folds pipeline outcomes into outcomes_/stats_.
   void record_outcomes(const std::vector<command_outcome>& outcomes)
       IVC_REQUIRES(mutex_);

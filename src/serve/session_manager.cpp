@@ -27,11 +27,16 @@ session_manager::metric_handles::metric_handles(obs::metrics_registry* reg)
               : reg->get_histogram("serve_rehydrate_latency_seconds")} {}
 
 session_manager::session_manager(defense::classifier_detector detector,
-                                 serve_config config)
+                                 serve_config config,
+                                 shard_placement placement)
     : detector_{std::move(detector)},
       config_{config},
+      placement_{placement},
       metrics_{config.metrics.get()},
-      evic_{config.latency_bins} {}
+      evic_{config.latency_bins} {
+  expects(placement.count >= 1 && placement.index < placement.count,
+          "session_manager: shard index must be below the shard count");
+}
 
 session_manager::~session_manager() { stop(); }
 
@@ -58,23 +63,31 @@ std::uint64_t session_manager::open_slot(
   expects(effective.latency_bins == config_.latency_bins,
           "session_manager: a per-session config must keep the fleet's "
           "latency binning — aggregate() merges histograms config-checked");
-  const auto id = static_cast<std::uint64_t>(slots_.size());
+  const auto i = static_cast<std::uint64_t>(slots_.size());
   slot sl;
-  sl.live = std::make_shared<detection_session>(id, detector_, effective);
+  sl.live =
+      std::make_shared<detection_session>(id_of(i), detector_, effective);
   sl.cfg = std::move(cfg);
   sl.touch = ++touch_counter_;
   slots_.push_back(std::move(sl));
   ++resident_count_;
   metrics_.resident.set(static_cast<double>(resident_count_));
   if (config_.max_resident_sessions > 0) {
-    lru_.emplace(slots_.back().touch, id);
+    lru_.emplace(slots_.back().touch, i);
   }
   {
     const ts_lock sched_lock{sched_mutex_};
     sched_.push_back(sched_state::idle);
   }
   enforce_residency();
-  return id;
+  return id_of(i);
+}
+
+std::uint64_t session_manager::slot_of(std::uint64_t id) const {
+  expects(id % placement_.count == placement_.index &&
+              id / placement_.count < slots_.size(),
+          "session_manager: unknown session id");
+  return id / placement_.count;
 }
 
 std::size_t session_manager::num_sessions() const {
@@ -84,24 +97,23 @@ std::size_t session_manager::num_sessions() const {
 
 const detection_session& session_manager::session(std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  expects(slots_[id].live != nullptr,
+  const slot& sl = slots_[slot_of(id)];
+  expects(sl.live != nullptr,
           "session_manager: session is evicted — use the id-keyed "
           "accessors, which read frozen sessions in place");
-  return *slots_[id].live;
+  return *sl.live;
 }
 
 bool session_manager::resident(std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  return slots_[id].live != nullptr;
+  return slots_[slot_of(id)].live != nullptr;
 }
 
 // Rebuilds an evicted session from its frozen snapshot. Caller holds
 // sessions_mutex_ — rehydration and eviction are fully serialized.
 const std::shared_ptr<detection_session>& session_manager::ensure_resident(
-    std::uint64_t id) {
-  slot& sl = slots_[id];
+    std::uint64_t i) {
+  slot& sl = slots_[i];
   if (sl.live != nullptr) {
     return sl.live;
   }
@@ -109,7 +121,7 @@ const std::shared_ptr<detection_session>& session_manager::ensure_resident(
           "session_manager: slot has neither a live session nor a snapshot");
   const auto t0 = std::chrono::steady_clock::now();
   const serve_config& cfg = sl.cfg != nullptr ? *sl.cfg : config_;
-  auto s = std::make_shared<detection_session>(id, detector_, cfg);
+  auto s = std::make_shared<detection_session>(id_of(i), detector_, cfg);
   s->restore(json::from_binary(sl.frozen));
   evic_.frozen_bytes -= sl.frozen.size();
   sl.frozen.clear();
@@ -119,7 +131,7 @@ const std::shared_ptr<detection_session>& session_manager::ensure_resident(
   ++resident_count_;
   ++evic_.rehydrations;
   if (config_.max_resident_sessions > 0) {
-    lru_.emplace(sl.touch, id);
+    lru_.emplace(sl.touch, i);
   }
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -132,9 +144,9 @@ const std::shared_ptr<detection_session>& session_manager::ensure_resident(
   return sl.live;
 }
 
-// Freezes session `id` if it is idle. Caller holds sessions_mutex_.
-bool session_manager::evict_locked(std::uint64_t id) {
-  slot& sl = slots_[id];
+// Freezes slot `i` if its session is idle. Caller holds sessions_mutex_.
+bool session_manager::evict_locked(std::uint64_t i) {
+  slot& sl = slots_[i];
   if (sl.live == nullptr) {
     return false;  // already evicted
   }
@@ -171,20 +183,20 @@ void session_manager::enforce_residency() {
   // loop, or the loop would pop them forever.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> busy;
   while (resident_count_ > bound && !lru_.empty()) {
-    const auto [touch, id] = lru_.top();
+    const auto [touch, i] = lru_.top();
     lru_.pop();
-    const slot& sl = slots_[id];
+    const slot& sl = slots_[i];
     if (sl.live == nullptr) {
       continue;  // dead entry: session was evicted through another path
     }
     if (sl.touch != touch) {
       // Stale: the session was offered again since this entry was
       // pushed. Re-file it under its real recency and keep looking.
-      lru_.emplace(sl.touch, id);
+      lru_.emplace(sl.touch, i);
       continue;
     }
-    if (!evict_locked(id)) {
-      busy.emplace_back(touch, id);
+    if (!evict_locked(i)) {
+      busy.emplace_back(touch, i);
     }
   }
   for (const auto& e : busy) {
@@ -194,15 +206,14 @@ void session_manager::enforce_residency() {
 
 bool session_manager::evict(std::uint64_t id) {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  return evict_locked(id);
+  return evict_locked(slot_of(id));
 }
 
 std::size_t session_manager::evict_idle() {
   const ts_lock lock{sessions_mutex_};
   std::size_t evicted = 0;
-  for (std::uint64_t id = 0; id < slots_.size(); ++id) {
-    evicted += evict_locked(id) ? 1 : 0;
+  for (std::uint64_t i = 0; i < slots_.size(); ++i) {
+    evicted += evict_locked(i) ? 1 : 0;
   }
   return evicted;
 }
@@ -219,12 +230,12 @@ offer_status session_manager::offer(std::uint64_t id, audio::buffer block) {
   // enforcement: an eviction can never interleave with an offer to the
   // same session and drop its block.
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  const std::shared_ptr<detection_session> s = ensure_resident(id);
+  const std::uint64_t i = slot_of(id);
+  const std::shared_ptr<detection_session> s = ensure_resident(i);
   const offer_status status = s->offer(std::move(block));
-  slots_[id].touch = ++touch_counter_;
+  slots_[i].touch = ++touch_counter_;
   if (status == offer_status::accepted) {
-    notify_ready(id, s);
+    notify_ready(i, s);
   }
   enforce_residency();
   return status;
@@ -232,28 +243,26 @@ offer_status session_manager::offer(std::uint64_t id, audio::buffer block) {
 
 void session_manager::close(std::uint64_t id) {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  slot& sl = slots_[id];
-  if (sl.live == nullptr && sl.closed_hint) {
+  const std::uint64_t i = slot_of(id);
+  if (slots_[i].live == nullptr && slots_[i].closed_hint) {
     return;  // frozen image is already closed + flushed: nothing owed
   }
-  const std::shared_ptr<detection_session> s = ensure_resident(id);
+  const std::shared_ptr<detection_session> s = ensure_resident(i);
   s->close();
-  notify_ready(id, s);  // the close() flush is work
+  notify_ready(i, s);  // the close() flush is work
 }
 
 void session_manager::close_all() {
   const ts_lock lock{sessions_mutex_};
-  for (std::uint64_t id = 0; id < slots_.size(); ++id) {
-    slot& sl = slots_[id];
-    if (sl.live == nullptr && sl.closed_hint) {
+  for (std::uint64_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].live == nullptr && slots_[i].closed_hint) {
       continue;  // already closed + flushed when it was frozen
     }
     // Rehydrating to flush can overshoot the residency bound; the
     // freshly closed sessions become evictable again once drained.
-    const std::shared_ptr<detection_session> s = ensure_resident(id);
+    const std::shared_ptr<detection_session> s = ensure_resident(i);
     s->close();
-    notify_ready(id, s);
+    notify_ready(i, s);
   }
 }
 
@@ -276,12 +285,12 @@ void session_manager::start(std::size_t n_workers) {
     stopping_ = false;
     // Seed the ready-queue with everything offered before start(): those
     // offers saw no live workers and did not enqueue.
-    for (std::uint64_t id = 0; id < slots_.size(); ++id) {
-      const slot& sl = slots_[id];
-      if (sl.live != nullptr && sched_[id] == sched_state::idle &&
+    for (std::uint64_t i = 0; i < slots_.size(); ++i) {
+      const slot& sl = slots_[i];
+      if (sl.live != nullptr && sched_[i] == sched_state::idle &&
           sl.live->has_work()) {
-        sched_[id] = sched_state::queued;
-        ready_.emplace_back(id, sl.live);
+        sched_[i] = sched_state::queued;
+        ready_.emplace_back(i, sl.live);
       }
     }
     workers_.reserve(count);
@@ -323,15 +332,15 @@ bool session_manager::streaming() const {
 
 bool session_manager::reopen(std::uint64_t id) {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  slot& sl = slots_[id];
+  const std::uint64_t i = slot_of(id);
   // Reopening is only meaningful for a quarantined session, and a plain
   // `false` must not change the resident set: ask the freeze-time hint,
   // never the frozen image.
-  if (sl.live == nullptr && sl.state_hint != session_state::quarantined) {
+  if (slots_[i].live == nullptr &&
+      slots_[i].state_hint != session_state::quarantined) {
     return false;
   }
-  const std::shared_ptr<detection_session> s = ensure_resident(id);
+  const std::shared_ptr<detection_session> s = ensure_resident(i);
   if (!s->reopen()) {
     return false;
   }
@@ -339,12 +348,12 @@ bool session_manager::reopen(std::uint64_t id) {
   // has_work() == false; blocks that were already queued (or a pending
   // close() flush) are work again now.
   if (s->has_work()) {
-    notify_ready(id, s);
+    notify_ready(i, s);
   }
   return true;
 }
 
-void session_manager::notify_ready(std::uint64_t id,
+void session_manager::notify_ready(std::uint64_t i,
                                    const std::shared_ptr<detection_session>& s) {
   bool enqueued = false;
   {
@@ -352,9 +361,9 @@ void session_manager::notify_ready(std::uint64_t id,
     if (workers_.empty()) {
       return;  // not streaming: the next start() finds the work by scanning
     }
-    if (sched_[id] == sched_state::idle) {
-      sched_[id] = sched_state::queued;
-      ready_.emplace_back(id, s);
+    if (sched_[i] == sched_state::idle) {
+      sched_[i] = sched_state::queued;
+      ready_.emplace_back(i, s);
       enqueued = true;
     }
   }
@@ -376,9 +385,9 @@ void session_manager::worker_loop() {
     if (ready_.empty()) {
       return;  // stopping_ and nothing left to do
     }
-    const auto [id, s] = ready_.front();
+    const auto [i, s] = ready_.front();
     ready_.pop_front();
-    sched_[id] = sched_state::claimed;
+    sched_[i] = sched_state::claimed;
     lock.unlock();
 
     // Containment of last resort: process() contains stage faults itself,
@@ -401,11 +410,11 @@ void session_manager::worker_loop() {
     // stranded.
     bool renotify = false;
     if (s->has_work()) {
-      sched_[id] = sched_state::queued;
-      ready_.emplace_back(id, s);
+      sched_[i] = sched_state::queued;
+      ready_.emplace_back(i, s);
       renotify = true;
     } else {
-      sched_[id] = sched_state::idle;
+      sched_[i] = sched_state::idle;
     }
     lock.unlock();
     if (renotify) {
@@ -426,8 +435,7 @@ void session_manager::finish() {
 std::vector<defense::stream_event> session_manager::verdicts(
     std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  const slot& sl = slots_[id];
+  const slot& sl = slots_[slot_of(id)];
   if (sl.live != nullptr) {
     return sl.live->verdicts();
   }
@@ -437,8 +445,7 @@ std::vector<defense::stream_event> session_manager::verdicts(
 std::vector<command_outcome> session_manager::outcomes(
     std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  const slot& sl = slots_[id];
+  const slot& sl = slots_[slot_of(id)];
   if (sl.live != nullptr) {
     return sl.live->outcomes();
   }
@@ -447,8 +454,7 @@ std::vector<command_outcome> session_manager::outcomes(
 
 session_stats session_manager::stats(std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  const slot& sl = slots_[id];
+  const slot& sl = slots_[slot_of(id)];
   if (sl.live != nullptr) {
     return sl.live->stats();
   }
@@ -462,8 +468,8 @@ serve_totals session_manager::aggregate() const {
   serve_totals totals;
   totals.stats = session_stats{config_.latency_bins};
   totals.num_sessions = slots_.size();
-  for (std::uint64_t id = 0; id < slots_.size(); ++id) {
-    const slot& sl = slots_[id];
+  for (std::uint64_t i = 0; i < slots_.size(); ++i) {
+    const slot& sl = slots_[i];
     session_stats st{config_.latency_bins};
     session_state state = session_state::serving;
     std::string error;
@@ -495,7 +501,7 @@ serve_totals session_manager::aggregate() const {
         break;
       case session_state::quarantined:
         ++totals.sessions_quarantined;
-        totals.quarantine_errors.emplace_back(id, std::move(error));
+        totals.quarantine_errors.emplace_back(id_of(i), std::move(error));
         break;
     }
   }
@@ -506,14 +512,14 @@ std::vector<std::pair<std::uint64_t, std::string>>
 session_manager::quarantine_errors() const {
   const ts_lock lock{sessions_mutex_};
   std::vector<std::pair<std::uint64_t, std::string>> out;
-  for (std::uint64_t id = 0; id < slots_.size(); ++id) {
-    const slot& sl = slots_[id];
+  for (std::uint64_t i = 0; i < slots_.size(); ++i) {
+    const slot& sl = slots_[i];
     if (sl.live != nullptr) {
       if (sl.live->state() == session_state::quarantined) {
-        out.emplace_back(id, sl.live->last_error());
+        out.emplace_back(id_of(i), sl.live->last_error());
       }
     } else if (sl.state_hint == session_state::quarantined) {
-      out.emplace_back(id, sl.err_hint);
+      out.emplace_back(id_of(i), sl.err_hint);
     }
   }
   return out;
@@ -521,8 +527,7 @@ session_manager::quarantine_errors() const {
 
 std::vector<obs::span> session_manager::trace(std::uint64_t id) const {
   const ts_lock lock{sessions_mutex_};
-  expects(id < slots_.size(), "session_manager: unknown session id");
-  const slot& sl = slots_[id];
+  const slot& sl = slots_[slot_of(id)];
   if (sl.live != nullptr) {
     return sl.live->trace();
   }

@@ -95,18 +95,29 @@ struct eviction_stats {
   log_histogram rehydrate_latency;
 };
 
+// Where one manager sits in a sharded front: global session id g lives
+// on shard g % count, in slot g / count. A lone manager is {0, 1}, so its
+// ids are its slot numbers.
+struct shard_placement {
+  std::uint64_t index = 0;
+  std::uint64_t count = 1;
+};
+
 class session_manager {
  public:
+  // `placement` is how shard_manager tells each shard which ids it
+  // mints; every other caller keeps the default.
   explicit session_manager(defense::classifier_detector detector,
-                           serve_config config = {});
+                           serve_config config = {},
+                           shard_placement placement = {});
   ~session_manager();  // stops streaming workers if still running
 
   const serve_config& config() const { return config_; }
 
-  // Opens a new session and returns its id (dense, starting at 0).
-  // Thread-safe; sessions may be opened mid-stream while streaming
-  // workers run (the new session joins the ready-queue on its first
-  // offer).
+  // Opens a new session and returns its id, slot·count + index (a lone
+  // manager hands out 0, 1, 2, ...). Thread-safe; sessions may be opened
+  // mid-stream while streaming workers run (the new session joins the
+  // ready-queue on its first offer).
   std::uint64_t open_session();
 
   // Opens a session with its OWN config — detector stream windowing,
@@ -207,9 +218,9 @@ class session_manager {
   // rehydrating, like the other id-keyed accessors.
   std::vector<obs::span> trace(std::uint64_t id) const;
 
-  // (id, last_error()) of every quarantined session. Cheap: uses the
-  // live object or the freeze-time hint, never decodes a frozen image —
-  // safe to poll from a sampler thread.
+  // (global id, last_error()) of every quarantined session. Cheap: uses
+  // the live object or the freeze-time hint, never decodes a frozen
+  // image — safe to poll from a sampler thread.
   std::vector<std::pair<std::uint64_t, std::string>> quarantine_errors()
       const;
 
@@ -250,25 +261,34 @@ class session_manager {
     obs::histogram rehydrate_latency;
   };
 
+  // Public methods take global ids; everything below them works on slot
+  // indices. slot_of() is the one conversion: it throws
+  // std::invalid_argument unless this manager minted `id`.
+  std::uint64_t slot_of(std::uint64_t id) const IVC_REQUIRES(sessions_mutex_);
+  std::uint64_t id_of(std::uint64_t i) const {
+    return i * placement_.count + placement_.index;
+  }
+
   // The slot/eviction helpers run with sessions_mutex_ held — the
   // IVC_REQUIRES makes calling one without it a compile error.
   std::uint64_t open_slot(std::shared_ptr<const serve_config> cfg,
                           const serve_config& effective)
       IVC_REQUIRES(sessions_mutex_) IVC_EXCLUDES(sched_mutex_);
-  const std::shared_ptr<detection_session>& ensure_resident(std::uint64_t id)
+  const std::shared_ptr<detection_session>& ensure_resident(std::uint64_t i)
       IVC_REQUIRES(sessions_mutex_);
-  bool evict_locked(std::uint64_t id) IVC_REQUIRES(sessions_mutex_);
+  bool evict_locked(std::uint64_t i) IVC_REQUIRES(sessions_mutex_);
   void enforce_residency() IVC_REQUIRES(sessions_mutex_);
-  // Enqueues session `id` if streaming and the session is idle. Takes
+  // Enqueues slot `i` if streaming and the session is idle. Takes
   // sched_mutex_ itself (always called under sessions_mutex_ — the
   // global lock order).
-  void notify_ready(std::uint64_t id,
+  void notify_ready(std::uint64_t i,
                     const std::shared_ptr<detection_session>& s)
       IVC_EXCLUDES(sched_mutex_);
   void worker_loop() IVC_EXCLUDES(sessions_mutex_, sched_mutex_);
 
   defense::classifier_detector detector_;
   serve_config config_;
+  const shard_placement placement_;
   metric_handles metrics_;
   // Guards slots_ + eviction state; always acquired BEFORE sched_mutex_
   // (offer -> notify_ready). A session mutex may be taken under either —
@@ -277,7 +297,7 @@ class session_manager {
   std::vector<slot> slots_ IVC_GUARDED_BY(sessions_mutex_);
   std::size_t resident_count_ IVC_GUARDED_BY(sessions_mutex_) = 0;
   std::uint64_t touch_counter_ IVC_GUARDED_BY(sessions_mutex_) = 0;
-  // Lazy LRU min-heap of (touch-at-push, id). Entries go stale when a
+  // Lazy LRU min-heap of (touch-at-push, slot). Entries go stale when a
   // session is touched again; enforce_residency() skips or refreshes
   // them on pop, so the heap stays O(resident) instead of O(offers).
   std::priority_queue<std::pair<std::uint64_t, std::uint64_t>,
@@ -289,6 +309,7 @@ class session_manager {
   // Streaming state, guarded by sched_mutex_ (see lock order above).
   mutable ts_mutex sched_mutex_;
   std::condition_variable sched_cv_;
+  // (slot, session) pairs in claim order.
   std::deque<std::pair<std::uint64_t, std::shared_ptr<detection_session>>>
       ready_ IVC_GUARDED_BY(sched_mutex_);
   std::vector<sched_state> sched_ IVC_GUARDED_BY(sched_mutex_);

@@ -1,26 +1,30 @@
-// Sharded serving front: session ids hashed across M independent
-// session_manager shards.
+// Sharded serving front: sessions placed across M independent
+// session_manager shards by arithmetic alone.
 //
 // One session_manager scales to a worker pool, but its scheduler state
 // (ready-queue, session table, eviction heap) is one lock domain — at
 // fleet scale the front needs to PARTITION, not just parallelize. The
 // shard_manager keeps the session_manager untouched and puts a thin
-// router in front: a global session id hashes (splitmix64, the same
-// mixer the fault injector uses) onto one of M shards, each a complete
-// session_manager with its own workers, ready-queue, residency bound,
-// and histograms. Shards share the detector weights, (optionally) one
-// serve_config object, and the router's own table. That table is one
-// lock domain across all shards: every offer() takes routes_mutex_ to
-// look up the route and bump the shard's offer counter, and takes it
-// again when a shard_kill fires, to count the kill. Everything after the
-// lookup — the offer itself, scheduling, eviction — stays inside the
-// session's shard.
+// front before it: global session id g lives on shard g % M, in slot
+// g / M. Each shard is a complete session_manager with its own workers,
+// ready-queue, residency bound and histograms, and it mints the global
+// ids itself, so the front keeps no route table and takes no lock:
+// open_session() picks the next shard from one atomic counter, and
+// every id-keyed call goes straight to shards_[id % M]. The offer and
+// shard_kill counters are per-shard atomics. Shards share only the
+// detector weights and (optionally) one serve_config object.
+//
+// Because a session's id is the same on every layer, the flight-recorder
+// dumps and the fault injector's (kind, session, index) coordinates both
+// use the id open_session() returned. A session fault schedule is
+// therefore independent of placement, like everything else.
 //
 // The determinism contract survives sharding by construction: a
 // session lives entirely on one shard, sessions never interact, and
 // each shard preserves the exclusive-claim FIFO drain — so per-session
-// verdict/outcome streams are bit-identical at ANY shard count, worker
-// count, and eviction schedule. The shard test pins exactly that.
+// verdict/outcome streams and traces are bit-identical at ANY shard
+// count, worker count, and eviction schedule, session faults included.
+// The shard test pins exactly that.
 //
 // shard_kill fault: when the shared fault_config's shard_kill_rate is
 // set (or a pinned schedule entry names a shard), the front
@@ -33,12 +37,11 @@
 // checks.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/sync.h"
-#include "common/thread_annotations.h"
 #include "serve/session_manager.h"
 
 namespace ivc::serve {
@@ -59,9 +62,9 @@ struct shard_balance {
   std::size_t min_sessions = 0;
   std::size_t max_sessions = 0;
   double mean_sessions = 0.0;
-  // (GLOBAL session id, last_error()) of every quarantined session in
-  // the fleet — the shard-local ids from each session_manager are
-  // mapped back through the routing table.
+  // (global session id, last_error()) of every quarantined session in
+  // the fleet, shard by shard. The shards mint global ids, so these are
+  // the ids open_session() returned.
   std::vector<std::pair<std::uint64_t, std::string>> quarantine_errors;
 };
 
@@ -73,20 +76,19 @@ class shard_manager {
                 std::size_t num_shards);
 
   std::size_t num_shards() const { return shards_.size(); }
-  const serve_config& config() const { return config_; }
 
-  // Opens a session and returns its GLOBAL id (dense, starting at 0).
-  // The id is hashed onto a shard; the mapping is fixed for the
-  // session's lifetime. Same overloads as session_manager — the shared-
-  // config form is what a million-session fleet uses.
+  // Opens a session on the next shard in round-robin order and returns
+  // the global id that shard minted. With one opener the ids are dense:
+  // the n-th call returns n. Same overloads as session_manager — the
+  // shared-config form is what a million-session fleet uses.
   std::uint64_t open_session();
   std::uint64_t open_session(const serve_config& config);
   std::uint64_t open_session(std::shared_ptr<const serve_config> config);
 
   std::size_t num_sessions() const;
 
-  // Which shard serves global session `id` (for tests and the bench's
-  // balance report).
+  // Which shard serves global session `id`: id % num_shards(). Throws
+  // std::invalid_argument for an id no shard has minted.
   std::size_t shard_of(std::uint64_t id) const;
 
   // The shard fronts themselves, for drills that poke one shard (the
@@ -94,10 +96,11 @@ class shard_manager {
   session_manager& shard(std::size_t i);
   const session_manager& shard(std::size_t i) const;
 
-  // Producer side: routes the block to the session's shard. Thread-safe;
-  // the shard_kill draw below uses this shard's offer counter, so a
-  // DETERMINISTIC kill schedule needs a single producer (the paced
-  // bench's timeline loop), like every other stream-order contract.
+  // Producer side: hands the block to the session's shard. Thread-safe
+  // and lock-free outside that shard. The shard_kill draw below uses
+  // this shard's offer counter, so a DETERMINISTIC kill schedule needs a
+  // single producer (the paced bench's timeline loop), like every other
+  // stream-order contract.
   offer_status offer(std::uint64_t id, audio::buffer block);
 
   void close(std::uint64_t id);
@@ -124,7 +127,7 @@ class shard_manager {
   std::vector<command_outcome> outcomes(std::uint64_t id) const;
   session_stats stats(std::uint64_t id) const;
 
-  // Flight-recorder dump of one session's span trace, routed to its
+  // Flight-recorder dump of one session's span trace, read from its
   // shard (reads frozen sessions in place, like the other accessors).
   std::vector<obs::span> trace(std::uint64_t id) const;
 
@@ -135,36 +138,25 @@ class shard_manager {
   // Eviction counters summed across shards.
   eviction_stats eviction() const;
 
-  // Per-shard load plus the session spread (the hash-balance check).
+  // Per-shard load plus the session spread.
   shard_balance balance() const;
 
  private:
-  struct route {
-    std::uint32_t shard = 0;
-    std::uint64_t local = 0;  // id inside the shard's session_manager
-  };
+  // The whole placement rule: opens go round-robin, and id g lives on
+  // shard g % M (which minted it).
+  session_manager& next_shard() { return *shards_[next_++ % shards_.size()]; }
+  session_manager& owner(std::uint64_t id) const {
+    return *shards_[id % shards_.size()];
+  }
 
-  route route_of(std::uint64_t id) const IVC_EXCLUDES(routes_mutex_);
-  std::uint64_t open_routed(std::uint64_t* shard_out)
-      IVC_EXCLUDES(routes_mutex_);
-  // Per-shard local-id -> global-id tables (one routes_ scan; local ids
-  // are dense in open order, so the tables build by append).
-  std::vector<std::vector<std::uint64_t>> global_ids() const
-      IVC_EXCLUDES(routes_mutex_);
-
-  // shards_, faults_, config_ are immutable after construction — shared
-  // reads need no lock; only the routing table and counters mutate.
-  serve_config config_;
+  // Immutable after construction; the shards lock for themselves.
   std::vector<std::unique_ptr<session_manager>> shards_;
   std::shared_ptr<const fault_injector> faults_;
-
-  mutable ts_mutex routes_mutex_;
-  // global id -> (shard, local id)
-  std::vector<route> routes_ IVC_GUARDED_BY(routes_mutex_);
-  // per-shard offer counters
-  std::vector<std::uint64_t> offers_ IVC_GUARDED_BY(routes_mutex_);
-  // per-shard kill counts
-  std::vector<std::uint64_t> shard_kills_ IVC_GUARDED_BY(routes_mutex_);
+  // Round-robin cursor of open_session().
+  std::atomic<std::uint64_t> next_{0};
+  // Per-shard offer counters (the shard_kill draw index) and kill counts.
+  std::vector<std::atomic<std::uint64_t>> offers_;
+  std::vector<std::atomic<std::uint64_t>> kills_;
 };
 
 }  // namespace ivc::serve

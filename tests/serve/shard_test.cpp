@@ -1,17 +1,19 @@
-// Sharded serving front: session ids hash across M independent
-// session_manager shards behind the one-manager API.
+// Sharded serving front: global session id g lives on shard g % M of M
+// independent session_manager shards, behind the one-manager API.
 //
 // The load-bearing claim: sharding is INVISIBLE in the streams. A
-// session's verdict/outcome streams are a pure function of its accepted
-// sample sequence, so they are bit-identical at any shard count, any
-// per-shard worker count, with eviction on or off — and under
-// shard_kill faults, because a killed shard drops to bit-exact
-// snapshots. Only placement, latency, and throughput move.
+// session's verdict/outcome streams and trace are a pure function of its
+// accepted sample sequence and its global id, so they are bit-identical
+// at any shard count, any per-shard worker count, with eviction on or
+// off, under session faults — and under shard_kill faults, because a
+// killed shard drops to bit-exact snapshots. Only placement, latency,
+// and throughput move.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audio/buffer.h"
@@ -108,6 +110,7 @@ void expect_same_outcomes(const std::vector<command_outcome>& a,
 struct fleet_result {
   std::vector<std::vector<defense::stream_event>> verdicts;
   std::vector<std::vector<command_outcome>> outcomes;
+  std::vector<std::string> traces;  // wall clock stripped, encoded
   serve_totals totals;
   eviction_stats eviction;
   shard_balance balance;
@@ -118,6 +121,7 @@ struct fleet_params {
   std::size_t workers = 2;           // per shard
   std::size_t max_resident = 0;      // per shard; 0 = unbounded
   std::shared_ptr<const fault_injector> faults;
+  fault_tolerance_config tolerance;
 };
 
 // Offers every stream round-robin to a streaming front. Every fourth
@@ -130,6 +134,7 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
   serve_config cfg = fleet_config();
   cfg.max_resident_sessions = p.max_resident;
   cfg.faults = p.faults;
+  cfg.fault_tolerance = p.tolerance;
   shard_manager front{tiny_detector(), cfg, p.shards};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     front.open_session();
@@ -159,6 +164,8 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
   for (std::size_t s = 0; s < streams.size(); ++s) {
     out.verdicts.push_back(front.verdicts(s));
     out.outcomes.push_back(front.outcomes(s));
+    out.traces.push_back(json::write(
+        obs::encode_spans(obs::strip_wall_clock(front.trace(s)))));
   }
   out.totals = front.aggregate();
   out.eviction = front.eviction();
@@ -234,39 +241,88 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
 
 // ---- placement -------------------------------------------------------
 
-TEST(shard, placement_is_stable_and_roughly_balanced) {
+TEST(shard, placement_is_round_robin_and_balanced) {
   serve_config cfg;  // no pipeline: placement only, keep it cheap
   shard_manager front{tiny_detector(), cfg, 4};
-  for (std::size_t s = 0; s < 256; ++s) {
-    front.open_session();
+  constexpr std::uint64_t kSessions = 258;
+  for (std::uint64_t n = 0; n < kSessions; ++n) {
+    // One opener: ids are dense, and id g lives on shard g % 4.
+    ASSERT_EQ(front.open_session(), n);
+    EXPECT_EQ(front.shard_of(n), n % 4);
   }
-  ASSERT_EQ(front.num_sessions(), 256u);
+  ASSERT_EQ(front.num_sessions(), kSessions);
 
-  // Stable: the same id always routes to the same shard.
-  for (std::uint64_t id = 0; id < 256; id += 17) {
-    EXPECT_EQ(front.shard_of(id), front.shard_of(id));
-    EXPECT_LT(front.shard_of(id), 4u);
-  }
-
-  // Balanced: dense ids spread via splitmix64, so no shard is empty and
-  // none holds more than twice the fair share at n=256, m=4.
+  // Round robin is exact: the spread is at most one session.
   const shard_balance b = front.balance();
   ASSERT_EQ(b.shards.size(), 4u);
   std::size_t total = 0;
   for (const shard_load& l : b.shards) {
     total += l.sessions;
   }
-  EXPECT_EQ(total, 256u);
-  EXPECT_DOUBLE_EQ(b.mean_sessions, 64.0);
-  EXPECT_GT(b.min_sessions, 0u);
-  EXPECT_LE(b.max_sessions, 128u);
+  EXPECT_EQ(total, kSessions);
+  EXPECT_DOUBLE_EQ(b.mean_sessions, 64.5);
+  EXPECT_LE(b.max_sessions - b.min_sessions, 1u);
 
-  // Local managers are reachable and consistent with the route table.
+  // The shard managers are reachable and hold the same sessions.
   std::size_t via_shards = 0;
   for (std::size_t i = 0; i < front.num_shards(); ++i) {
     via_shards += front.shard(i).num_sessions();
   }
-  EXPECT_EQ(via_shards, 256u);
+  EXPECT_EQ(via_shards, kSessions);
+}
+
+// Openers race each other and a streaming producer. Each shard mints
+// slot·M + index and the shards are picked from one counter, so once
+// every open has returned the ids are exactly {0..N-1}, whatever the
+// interleaving.
+TEST(shard, concurrent_opens_mint_exactly_the_dense_ids) {
+  serve_config cfg;  // detector only
+  cfg.queue_capacity = 256;
+  shard_manager front{tiny_detector(), cfg, 3};
+  std::vector<std::uint64_t> ids;
+  for (int s = 0; s < 3; ++s) {
+    ids.push_back(front.open_session());
+  }
+  front.start(1);
+  constexpr std::size_t kOpeners = 4;
+  constexpr std::size_t kPerOpener = 50;
+  std::vector<std::vector<std::uint64_t>> opened(kOpeners);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kOpeners; ++t) {
+    threads.emplace_back([&front, &opened, t] {
+      for (std::size_t n = 0; n < kPerOpener; ++n) {
+        opened[t].push_back(front.open_session());
+      }
+    });
+  }
+  constexpr std::size_t kBlocks = 20;
+  const audio::buffer stream = command_stream(650);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (std::uint64_t id = 0; id < 3; ++id) {
+      EXPECT_EQ(front.offer(id, cut(stream, b * 1'024, (b + 1) * 1'024)),
+                offer_status::accepted);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  front.finish();
+
+  for (const std::vector<std::uint64_t>& o : opened) {
+    ids.insert(ids.end(), o.begin(), o.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  const std::size_t n = 3 + kOpeners * kPerOpener;
+  ASSERT_EQ(ids.size(), n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(ids[i], i);
+    EXPECT_EQ(front.shard_of(i), i % 3);
+    EXPECT_TRUE(front.resident(i));
+  }
+  EXPECT_EQ(front.num_sessions(), n);
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    EXPECT_EQ(front.stats(id).blocks_processed, kBlocks);
+  }
 }
 
 // ---- shard_kill faults -----------------------------------------------
@@ -306,6 +362,116 @@ TEST(shard, shard_kill_is_invisible_in_the_streams) {
             got.totals.stats.commands_executed);
   EXPECT_EQ(want.totals.stats.commands_blocked,
             got.totals.stats.commands_blocked);
+}
+
+// ---- session faults and the flight recorder --------------------------
+
+// A session's fault coordinates are (kind, global id, index), so the
+// fault schedule does not depend on placement: under detector, ingest
+// and recognizer faults the streams and traces still match the 1-shard
+// run at every shard count.
+TEST(shard, streams_match_across_shard_counts_under_session_faults) {
+  const std::vector<audio::buffer> streams = fleet_streams(8);
+  const std::size_t block = 2'048;
+  fault_config fc;
+  fc.seed = 99;
+  fc.detector_throw_rate = 0.03;
+  fc.corrupt_block_rate = 0.03;
+  fc.recognizer_throw_rate = 0.2;
+  fleet_params ref_p;
+  ref_p.shards = 1;
+  ref_p.workers = 1;
+  ref_p.faults = std::make_shared<fault_injector>(fc);
+  // A retry budget no stream exhausts: every session recovers, so no
+  // offer is ever refused and each run sees the same accepted blocks.
+  ref_p.tolerance.max_reopens = 1'000;
+  ref_p.tolerance.backoff_blocks = 1;
+  const fleet_result ref = run_fleet(streams, block, ref_p);
+  ASSERT_GT(ref.totals.stats.detector_faults, 0u);
+  ASSERT_GT(ref.totals.stats.corrupt_blocks, 0u);
+  ASSERT_GT(ref.totals.stats.recognizer_faults, 0u);
+
+  struct case_t {
+    const char* name;
+    std::size_t shards;
+    std::size_t max_resident;
+  };
+  for (const case_t& c : {case_t{"2 shards", 2, 0},
+                          case_t{"4 shards", 4, 0},
+                          case_t{"4 shards, eviction bound 1", 4, 1}}) {
+    fleet_params p = ref_p;
+    p.shards = c.shards;
+    p.workers = 2;
+    p.max_resident = c.max_resident;
+    const fleet_result got = run_fleet(streams, block, p);
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const std::string what =
+          std::string{c.name} + ", session " + std::to_string(s);
+      expect_same_verdicts(ref.verdicts[s], got.verdicts[s], what);
+      expect_same_outcomes(ref.outcomes[s], got.outcomes[s], what);
+      EXPECT_EQ(ref.traces[s], got.traces[s]) << what;
+    }
+    EXPECT_EQ(ref.totals.stats.quarantines, got.totals.stats.quarantines)
+        << c.name;
+  }
+}
+
+// reopen() goes to the session's shard and touches nothing else.
+TEST(shard, reopen_restores_one_session_on_its_shard) {
+  serve_config cfg;  // detector only
+  cfg.fault_tolerance.auto_reopen = false;
+  cfg.fault_tolerance.backoff_blocks = 2;
+  constexpr std::uint64_t kFaulted = 5;  // 5 % 3: lives on shard 2
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::detector_throw, kFaulted, /*index=*/1});
+  cfg.faults = std::make_shared<fault_injector>(fc);
+  shard_manager front{tiny_detector(), cfg, 3};
+  for (int s = 0; s < 6; ++s) {
+    front.open_session();
+  }
+  ASSERT_EQ(front.shard_of(kFaulted), 2u);
+  const audio::buffer stream = command_stream(660);
+  const auto offer_blocks = [&](std::uint64_t id, std::size_t from,
+                                std::size_t to) {
+    for (std::size_t b = from; b < to; ++b) {
+      front.offer(id, cut(stream, b * 2'048, (b + 1) * 2'048));
+    }
+  };
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    offer_blocks(id, 0, 3);
+  }
+  front.start(2);
+  front.stop();
+
+  // Only the pinned session parked, on its own shard.
+  const shard_balance parked = front.balance();
+  ASSERT_EQ(parked.quarantine_errors.size(), 1u);
+  EXPECT_EQ(parked.quarantine_errors[0].first, kFaulted);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(parked.shards[i].quarantined, i == 2 ? 1u : 0u);
+  }
+  const std::uint64_t scored_before = front.stats(kFaulted).blocks_processed;
+  EXPECT_EQ(scored_before, 1u);  // block 0 scored, block 1 threw
+
+  EXPECT_TRUE(front.reopen(kFaulted));
+  EXPECT_FALSE(front.reopen(kFaulted));  // no longer quarantined
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    if (id != kFaulted) {
+      EXPECT_FALSE(front.reopen(id));  // healthy: nothing to reopen
+    }
+  }
+
+  // Later blocks are scored once the backoff has been worked off.
+  offer_blocks(kFaulted, 3, 8);
+  front.finish();
+  const session_stats st = front.stats(kFaulted);
+  EXPECT_EQ(st.quarantines, 1u);
+  EXPECT_EQ(st.reopens, 1u);
+  EXPECT_EQ(st.blocks_dropped_backoff, 2u);
+  EXPECT_GT(st.blocks_processed, scored_before);
+  const serve_totals totals = front.aggregate();
+  EXPECT_EQ(totals.sessions_quarantined, 0u);
+  EXPECT_EQ(totals.stats.quarantines, 1u);
 }
 
 // ---- balance + eviction counters under streaming drain ---------------

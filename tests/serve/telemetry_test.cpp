@@ -361,12 +361,15 @@ TEST(flight_recorder, quarantine_errors_survive_eviction_via_hints) {
 
 // ---- quarantine surfacing through the sharded front ------------------
 
-TEST(shard_telemetry, balance_reports_quarantine_errors_with_global_ids) {
+TEST(shard_telemetry, quarantine_errors_and_dumps_name_global_ids) {
   serve_config cfg = fleet_config();
   cfg.fault_tolerance.auto_reopen = false;
   fault_config fc;
   fc.detector_throw_rate = 1.0;  // every session parks on block 0
   cfg.faults = std::make_shared<fault_injector>(fc);
+  const std::string dump_path = "telemetry_test_shard_dumps.jsonl";
+  std::remove(dump_path.c_str());
+  cfg.trace_sink = std::make_shared<obs::jsonl_trace_sink>(dump_path);
   constexpr std::size_t kSessions = 6;
   shard_manager front{tiny_detector(), cfg, /*num_shards=*/3};
   for (std::size_t s = 0; s < kSessions; ++s) {
@@ -403,6 +406,27 @@ TEST(shard_telemetry, balance_reports_quarantine_errors_with_global_ids) {
     ASSERT_FALSE(trace.empty()) << "session " << s;
     EXPECT_EQ(trace.back().stage, obs::trace_stage::detector);
   }
+  // One flight-recorder dump per session, named by the id
+  // open_session() returned, carrying that session's recorder.
+  std::vector<bool> dumped(kSessions, false);
+  std::ifstream in{dump_path};
+  std::string line;
+  while (std::getline(in, line)) {
+    const json::value dump = json::parse(line);
+    const auto gid =
+        static_cast<std::uint64_t>(dump.find("session")->number());
+    ASSERT_LT(gid, kSessions);
+    EXPECT_FALSE(dumped[gid]) << "global id " << gid << " dumped twice";
+    dumped[gid] = true;
+    EXPECT_EQ(json::write(obs::encode_spans(obs::strip_wall_clock(
+                  obs::decode_spans(*dump.find("spans"))))),
+              json::write(obs::encode_spans(
+                  obs::strip_wall_clock(front.trace(gid)))))
+        << "global id " << gid;
+  }
+  EXPECT_EQ(std::count(dumped.begin(), dumped.end(), true),
+            static_cast<std::ptrdiff_t>(kSessions));
+  std::remove(dump_path.c_str());
 }
 
 // ---- the fleet sampler -----------------------------------------------
