@@ -14,15 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/histogram.h"
-#include "common/json_min.h"
 #include "sim/experiment.h"
 #include "sim/runlog.h"
 
@@ -111,35 +107,6 @@ double time_reps(std::size_t reps, Fn&& fn) {
   return best;
 }
 
-// Reads the "metrics" object of a json_report file back as name→value
-// pairs (file order). Empty on a missing/unreadable file or a document
-// without a metrics object — the perf gate treats that as "nothing to
-// compare", not an error, so a fresh checkout with no baseline passes.
-inline std::vector<std::pair<std::string, double>> read_report_metrics(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> metrics;
-  std::ifstream in{path};
-  if (!in.good()) {
-    return metrics;
-  }
-  const std::string text{std::istreambuf_iterator<char>{in},
-                         std::istreambuf_iterator<char>{}};
-  try {
-    const json::value doc = json::parse(text);
-    const json::value* obj = doc.find("metrics");
-    if (obj != nullptr && obj->is_object()) {
-      for (const auto& [name, v] : obj->members()) {
-        if (v.is_number()) {
-          metrics.emplace_back(name, v.number());
-        }
-      }
-    }
-  } catch (const std::invalid_argument&) {
-    metrics.clear();
-  }
-  return metrics;
-}
-
 // Machine-readable figure report: named result tables plus scalar
 // metrics (wall time, derived summaries), written as one JSON object —
 // and, through write(options), appended to the run log keyed by
@@ -156,7 +123,7 @@ class json_report {
   void set_trials(std::uint64_t trials) { trials_ = trials; }
 
   // Explicit run-key signature for reports whose experiment is not a
-  // swept result_table (the perf/serving harnesses): names the protocol
+  // swept result_table (the serving harness): names the protocol
   // so the run-log key changes when the measurement protocol does.
   // Prepended before any table signatures.
   void set_signature(std::string signature) {
@@ -169,18 +136,6 @@ class json_report {
   }
   void add_metric(const std::string& name, double value) {
     metrics_.emplace_back(name, value);
-  }
-
-  // The standard quantile view of a latency histogram (seconds in,
-  // milliseconds out): <name>_p50_ms/_p95_ms/_p99_ms/_mean_ms plus the
-  // sample count — the shape the serving harness reports for total,
-  // queue-wait, and service latency alike.
-  void add_latency_metrics(const std::string& name, const log_histogram& h) {
-    add_metric(name + "_p50_ms", 1e3 * h.quantile(0.50));
-    add_metric(name + "_p95_ms", 1e3 * h.quantile(0.95));
-    add_metric(name + "_p99_ms", 1e3 * h.quantile(0.99));
-    add_metric(name + "_mean_ms", 1e3 * h.mean());
-    add_metric(name + "_count", static_cast<double>(h.count()));
   }
 
   // Writes when `path` is non-empty (i.e. --json was passed).

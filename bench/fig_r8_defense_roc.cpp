@@ -3,8 +3,10 @@
 // Trains the logistic classifier on the train half of the corpus and
 // sweeps thresholds on the held-out half, printing AUC / EER / best
 // accuracy for each single-feature detector and the combined model, plus
-// the combined model's ROC points.
+// the combined model's ROC points. With --json, the combined and
+// per-feature AUC/EER are report metrics (combined_auc, <feature>_eer, ...).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -13,13 +15,18 @@
 #include "defense/roc.h"
 #include "sim/corpus.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ivc;
+  const bench::options opts = bench::parse_options(argc, argv);
   bench::banner("F-R8", "defense ROC: single features vs combined classifier");
+  bench::json_report report{"F-R8", "defense ROC"};
+  const std::uint64_t seed = 8;
+  report.set_seed(seed);
 
   sim::corpus_config cfg;
   cfg.rig = attack::long_range_rig();
-  const sim::defense_corpus corpus = sim::build_defense_corpus(cfg, 8);
+  cfg.num_threads = opts.threads;
+  const sim::defense_corpus corpus = sim::build_defense_corpus(cfg, seed);
   bench::note("train %zu / test %zu captures", corpus.train.size(),
               corpus.test.size());
   bench::rule();
@@ -33,9 +40,11 @@ int main() {
       labels.push_back(corpus.test.y[i]);
     }
     const defense::roc_curve roc = defense::compute_roc(scores, labels);
-    std::printf("%-30s %8.3f %8.3f %9.1f%%\n",
-                defense::trace_features::names()[k], roc.auc,
+    const std::string name = defense::trace_features::names()[k];
+    std::printf("%-30s %8.3f %8.3f %9.1f%%\n", name.c_str(), roc.auc,
                 roc.equal_error_rate, 100.0 * roc.best_accuracy);
+    report.add_metric(name + "_auc", roc.auc);
+    report.add_metric(name + "_eer", roc.equal_error_rate);
   }
 
   defense::logistic_classifier clf;
@@ -49,6 +58,11 @@ int main() {
   const defense::roc_curve roc = defense::compute_roc(scores, labels);
   std::printf("%-30s %8.3f %8.3f %9.1f%%\n", "combined (logistic)", roc.auc,
               roc.equal_error_rate, 100.0 * roc.best_accuracy);
+  report.add_metric("combined_auc", roc.auc);
+  report.add_metric("combined_eer", roc.equal_error_rate);
+  report.add_metric("train_size", static_cast<double>(corpus.train.size()));
+  report.add_metric("test_size", static_cast<double>(corpus.test.size()));
+  report.write(opts);
 
   bench::rule();
   std::printf("combined-classifier ROC points (threshold, FPR, TPR):\n");

@@ -9,19 +9,6 @@
 // same-key records measured an identical grid with an identical seed,
 // so any metric movement is a code change, not noise.
 //
-//   runlog_report --perf-gate <current.json> --baseline <baseline.json>
-//                 [--max-regress <pct>] [--strict]
-//
-// Perf-gate mode: compares the DIRECTIONAL throughput metrics (names
-// ending in _per_s or _speedup, plus rtf — all higher-is-better) shared
-// by a fresh bench report and a checked-in baseline, and flags any that
-// regressed by more than --max-regress percent (default 30). The gate
-// only FLAGS by default — bench/baselines records come from other
-// machines, so absolute ratios carry machine noise and CI must not go
-// red over a slow runner; --strict turns flagged regressions into
-// exit 1 for same-machine comparisons. A missing/metric-less file on
-// either side passes (nothing to compare).
-//
 //   runlog_report --metrics <timeseries.jsonl> [--baseline <previous.jsonl>]
 //
 // Telemetry mode: summarizes a fleet-sampler time-series (the JSONL
@@ -30,93 +17,17 @@
 // rate, and the final stage-latency quantiles. With --baseline it
 // prints each summary line's delta against a previous run's series, so
 // two telemetry captures diff the way runlog records do.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/json_min.h"
 #include "sim/runlog.h"
 
 namespace {
-
-// Higher-is-better metrics only: wall times and latencies regress by
-// going UP, and gating both directions on one threshold would flag
-// every machine-speed difference twice. Throughput names are the stable
-// perf vocabulary across the bench suite (perf_hotpath, serve_load).
-bool is_throughput_metric(const std::string& name) {
-  const auto ends_with = [&](const char* suffix) {
-    const std::string s{suffix};
-    return name.size() >= s.size() &&
-           name.compare(name.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with("_per_s") || ends_with("_speedup") || name == "rtf";
-}
-
-int run_perf_gate(const std::string& current_path,
-                  const std::string& baseline_path, double max_regress_pct,
-                  bool strict) {
-  using namespace ivc;
-  const auto current = bench::read_report_metrics(current_path);
-  const auto baseline = bench::read_report_metrics(baseline_path);
-  if (current.empty()) {
-    std::printf("perf-gate: no metrics in %s — nothing to compare\n",
-                current_path.c_str());
-    return 0;
-  }
-  if (baseline.empty()) {
-    std::printf("perf-gate: no metrics in baseline %s — nothing to compare\n",
-                baseline_path.c_str());
-    return 0;
-  }
-  std::printf("perf-gate: %s vs baseline %s (threshold -%.0f%%%s)\n",
-              current_path.c_str(), baseline_path.c_str(), max_regress_pct,
-              strict ? ", strict" : "");
-  std::size_t compared = 0;
-  std::size_t regressed = 0;
-  for (const auto& [name, now] : current) {
-    if (!is_throughput_metric(name)) {
-      continue;
-    }
-    double base = 0.0;
-    bool found = false;
-    for (const auto& [bname, bvalue] : baseline) {
-      if (bname == name) {
-        base = bvalue;
-        found = true;
-        break;
-      }
-    }
-    if (!found || base <= 0.0) {
-      continue;
-    }
-    ++compared;
-    const double change_pct = 100.0 * (now - base) / base;
-    const bool flag = change_pct < -max_regress_pct;
-    regressed += flag ? 1 : 0;
-    std::printf("  %-28s %14.6g   baseline %-12.6g %+.1f%%%s\n", name.c_str(),
-                now, base, change_pct, flag ? "   ** REGRESSION **" : "");
-  }
-  if (compared == 0) {
-    std::printf("perf-gate: no shared throughput metrics — nothing gated\n");
-    return 0;
-  }
-  if (regressed > 0) {
-    std::fprintf(stderr,
-                 "perf-gate: %zu of %zu throughput metric(s) regressed more "
-                 "than %.0f%% vs %s%s\n",
-                 regressed, compared, max_regress_pct, baseline_path.c_str(),
-                 strict ? "" : " (advisory: cross-machine baselines carry "
-                               "machine noise; --strict makes this fatal)");
-    return strict ? 1 : 0;
-  }
-  std::printf("perf-gate: all %zu throughput metric(s) within threshold\n",
-              compared);
-  return 0;
-}
 
 // ---- telemetry time-series summary ----------------------------------
 
@@ -237,37 +148,20 @@ int run_metrics_summary(const std::string& current_path,
 int main(int argc, char** argv) {
   using namespace ivc;
   std::vector<std::string> paths;
-  std::string gate_current;
-  std::string gate_baseline;
+  std::string metrics_baseline;
   std::string metrics_series;
-  double max_regress_pct = 30.0;
-  bool strict = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--perf-gate" && i + 1 < argc) {
-      gate_current = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
+    if (arg == "--metrics" && i + 1 < argc) {
       metrics_series = argv[++i];
     } else if (arg == "--baseline" && i + 1 < argc) {
-      gate_baseline = argv[++i];
-    } else if (arg == "--max-regress" && i + 1 < argc) {
-      const double v = std::atof(argv[++i]);
-      max_regress_pct = v > 0.0 ? v : max_regress_pct;
-    } else if (arg == "--strict") {
-      strict = true;
+      metrics_baseline = argv[++i];
     } else {
       paths.emplace_back(arg);
     }
   }
-  if (!gate_current.empty()) {
-    if (gate_baseline.empty()) {
-      std::fprintf(stderr, "runlog_report: --perf-gate needs --baseline\n");
-      return 2;
-    }
-    return run_perf_gate(gate_current, gate_baseline, max_regress_pct, strict);
-  }
   if (!metrics_series.empty()) {
-    return run_metrics_summary(metrics_series, gate_baseline);
+    return run_metrics_summary(metrics_series, metrics_baseline);
   }
   if (paths.empty()) {
     paths.emplace_back("runlog.jsonl");

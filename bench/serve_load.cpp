@@ -6,10 +6,10 @@
 // serve::session_manager, interleaving offers round-robin across
 // sessions and letting the workers catch up (start, then stop) every
 // few rounds — the arrival pattern of a fleet of concurrent capture
-// streams. Reports per-combo wall time,
-// real-time factor (audio seconds scored per wall second), fleet-wide
-// p50/p95/p99 block latency, and shed/rejected block counts into
-// BENCH_serve.json (+ the run log).
+// streams. Reports per-combo audio, shed-block and verdict counts into
+// BENCH_serve.json (+ the run log). serve_load checks correctness only;
+// timing (latency, throughput, per-layer cost) is perfbench's job
+// (perfbench/README.md).
 //
 // Two invariants are CHECKED, not just reported:
 //   * determinism: per-session verdict streams must be bit-identical at
@@ -22,10 +22,10 @@
 // deterministic arrival timeline (Poisson session starts + per-block
 // capture times), and the harness offers every block AT its arrival
 // time against a live streaming manager (session_manager::start/stop —
-// long-lived workers, no barriers). Queue-wait and service
-// latency are reported as SEPARATE histograms, and the per-session
-// verdict streams of every paced run must be bit-identical to an
-// unpaced 1-worker replay of the same blocks (exit 1 on mismatch).
+// long-lived workers, no barriers). The timeline plays back 4x faster
+// than real time with Poisson session starts at 32/s, and the
+// per-session verdict streams of every paced run must be bit-identical
+// to an unpaced 1-worker replay of the same blocks (exit 1 on mismatch).
 //
 // `--e2e` switches to the end-to-end command-pipeline protocol
 // (`serve-e2e-v1` run-log signature, default JSON BENCH_serve_e2e.json):
@@ -35,9 +35,8 @@
 // The harness scores STREAM-level end-to-end outcomes against the
 // traffic ground truth — attacker success means the intended command
 // EXECUTED (recognized, not blocked, mapped to an intent), genuine task
-// completion means a genuine user's command executed — and reports ASR
-// latency as its own histogram, split from detector service time. The
-// per-session outcome streams of the run at every worker count must be
+// completion means a genuine user's command executed. The per-session
+// outcome streams of the run at every worker count must be
 // bit-identical to the 1-worker reference (exit 1 on mismatch); only
 // the asr_s wall-time field is exempt.
 //
@@ -55,10 +54,9 @@
 // resident working set a small fraction of the open set — sessions
 // evict to compact snapshots between their bursts and rehydrate
 // transparently on the next offer. The harness reports shard balance,
-// eviction/rehydration counts, rehydrate latency quantiles, peak
-// resident sessions (CHECKED against the bound), and an
-// eviction-on-vs-off verdict-stream hash on a sub-fleet (CHECKED
-// equal).
+// eviction/rehydration counts, peak resident sessions (CHECKED against
+// the bound), and an eviction-on-vs-off verdict-stream hash on a
+// sub-fleet (CHECKED equal).
 //
 // `--chaos` switches to the fault-injection sweep (`serve-chaos-v1`
 // run-log signature, default JSON BENCH_serve_chaos.json): the e2e fleet
@@ -75,9 +73,6 @@
 //   --smoke          CI-sized run: 64 sessions, one block size, 1-vs-N
 //   --sessions <n>   override the session-count sweep with a single value
 //   --paced          streaming arrival-time replay protocol (see above)
-//   --pace <x>       paced replay speed multiplier (default 4: the
-//                    timeline plays back 4x faster than real time)
-//   --rate <s/s>     paced Poisson session-start rate (default 32/s)
 //   --e2e            end-to-end command-pipeline protocol (see above)
 //   --chaos          deterministic fault-injection sweep (see above)
 //   --shard          sharded front + snapshot/eviction protocol (above)
@@ -150,7 +145,6 @@ const ivc::defense::classifier_detector& trained_detector_cache() {
 }
 
 struct combo_result {
-  double wall_s = 0.0;
   ivc::serve::serve_totals totals;
   std::vector<std::vector<ivc::defense::stream_event>> verdicts;
 };
@@ -184,7 +178,6 @@ combo_result run_combo(const std::vector<ivc::sim::session_script>& scripts,
     max_rounds = std::max(max_rounds, n);
   }
 
-  const ivc::bench::stopwatch clock;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     for (std::size_t s = 0; s < num_sessions; ++s) {
       if (round >= blocks_total[s]) {
@@ -211,7 +204,6 @@ combo_result run_combo(const std::vector<ivc::sim::session_script>& scripts,
   }
   manager.start(workers);  // finish()'s own start() is then a no-op
   manager.finish();
-  result.wall_s = clock.elapsed_s();
   result.totals = manager.aggregate();
   result.verdicts.reserve(num_sessions);
   for (std::size_t s = 0; s < num_sessions; ++s) {
@@ -264,7 +256,6 @@ std::vector<arrival_event> build_timeline(
 }
 
 struct paced_result {
-  double wall_s = 0.0;
   ivc::serve::serve_totals totals;
   std::vector<std::vector<ivc::defense::stream_event>> verdicts;
   std::size_t telemetry_samples = 0;  // JSONL lines appended (if sampling)
@@ -325,8 +316,6 @@ paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
     sampler->stop();  // takes the final end-of-run sample
     result.telemetry_samples = sampler->samples();
   }
-  result.wall_s =
-      chrono::duration<double>(chrono::steady_clock::now() - t0).count();
   result.totals = manager.aggregate();
   result.verdicts.reserve(num_sessions);
   for (std::size_t s = 0; s < num_sessions; ++s) {
@@ -337,13 +326,13 @@ paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
 
 // The full paced protocol: timeline-stamped traffic, an unpaced 1-worker
 // reference, then a paced replay per worker count — each checked
-// bit-identical to the reference — reporting queue-wait and service
-// latency as separate histograms.
+// bit-identical to the reference.
 int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
-                       std::size_t sessions_override, double pace,
-                       double session_rate_hz,
+                       std::size_t sessions_override,
                        const std::string& telemetry_dir) {
   using namespace ivc;
+  const double pace = 4.0;              // timeline speed-up over real time
+  const double session_rate_hz = 32.0;  // Poisson session starts per second
   const std::size_t hw = default_thread_count();
   const std::size_t num_sessions =
       sessions_override > 0 ? sessions_override
@@ -361,7 +350,6 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
                             "streaming arrival-paced load"};
   report.set_signature("serve-paced-v1");
   report.set_seed(7);
-  const bench::stopwatch total_clock;
 
   // ---- Traffic with a deterministic arrival timeline. ----------------
   sim::traffic_config tc;
@@ -370,8 +358,6 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   tc.session_rate_hz = session_rate_hz;
   tc.num_threads = opts.threads;
   const sim::traffic_generator generator{tc, 7};
-  (void)trained_detector_cache();  // train before timing the render
-  const bench::stopwatch render_clock;
   const std::vector<sim::session_script> scripts = generator.render_all();
   double fleet_audio_s = 0.0;
   double timeline_end_s = 0.0;
@@ -382,10 +368,9 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   const std::vector<arrival_event> timeline =
       build_timeline(scripts, num_sessions);
   bench::note("fleet: %zu streams, %.1f s of audio over a %.1f s timeline "
-              "(Poisson starts at %.0f/s), replayed at %.0fx, rendered in "
-              "%.2f s",
+              "(Poisson starts at %.0f/s), replayed at %.0fx",
               scripts.size(), fleet_audio_s, timeline_end_s, session_rate_hz,
-              pace, render_clock.elapsed_s());
+              pace);
   report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
   report.add_metric("fleet_audio_s", fleet_audio_s);
   report.add_metric("timeline_s", timeline_end_s);
@@ -412,14 +397,8 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   // ---- Streaming replays: one per worker count. ----------------------
   // Under the reject policy nothing can shed — the backpressure signal
   // of a paced run is the rejected-offer count (producer stall events).
-  sim::result_table sweep{{"workers"},
-                          {"wall_s", "rtf", "queue_p50_ms", "queue_p95_ms",
-                           "queue_p99_ms", "service_p50_ms", "service_p95_ms",
-                           "service_p99_ms", "rejected_blocks", "events"}};
+  sim::result_table sweep{{"workers"}, {"rejected_blocks", "events"}};
   bool determinism_ok = true;
-  std::printf("%8s %9s %9s %10s %10s %10s %12s %12s %7s\n", "workers",
-              "wall s", "rtf", "queue p50", "queue p95", "queue p99",
-              "service p50", "service p95", "events");
   std::size_t telemetry_samples = 0;
   for (const std::size_t W : workers) {
     // The last (widest) worker count is the deployment shape; that run
@@ -445,38 +424,16 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
       }
     }
     const serve::serve_totals& t = r.totals;
-    const double rtf = t.stats.audio_s_processed / r.wall_s;
-    std::printf("%8zu %9.2f %9.1f %8.2fms %8.2fms %8.2fms %10.2fms %10.2fms "
-                "%7llu\n",
-                W, r.wall_s, rtf, 1e3 * t.stats.queue_wait.quantile(0.50),
-                1e3 * t.stats.queue_wait.quantile(0.95),
-                1e3 * t.stats.queue_wait.quantile(0.99),
-                1e3 * t.stats.service.quantile(0.50),
-                1e3 * t.stats.service.quantile(0.95),
-                static_cast<unsigned long long>(t.stats.events));
     sim::result_table::row row;
     row.labels = {std::to_string(W)};
     row.coords = {static_cast<double>(W)};
-    row.metrics = {r.wall_s,
-                   rtf,
-                   1e3 * t.stats.queue_wait.quantile(0.50),
-                   1e3 * t.stats.queue_wait.quantile(0.95),
-                   1e3 * t.stats.queue_wait.quantile(0.99),
-                   1e3 * t.stats.service.quantile(0.50),
-                   1e3 * t.stats.service.quantile(0.95),
-                   1e3 * t.stats.service.quantile(0.99),
-                   static_cast<double>(t.stats.blocks_rejected),
+    row.metrics = {static_cast<double>(t.stats.blocks_rejected),
                    static_cast<double>(t.stats.events)};
     sweep.add_row(row);
     if (W == workers.back()) {
-      report.add_latency_metrics("latency", t.stats.latency);
-      report.add_latency_metrics("queue_wait", t.stats.queue_wait);
-      report.add_latency_metrics("service", t.stats.service);
       report.add_metric("rejected_blocks",
                         static_cast<double>(t.stats.blocks_rejected));
       report.add_metric("events", static_cast<double>(t.stats.events));
-      report.add_metric("wall_s", r.wall_s);
-      report.add_metric("rtf", rtf);
     }
   }
   sweep.print();
@@ -488,13 +445,11 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
                       static_cast<double>(telemetry_samples));
   }
 
-  const double elapsed = total_clock.elapsed_s();
-  report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("paced verdict streams bit-identical to the unpaced "
               "reference: %s",
               determinism_ok ? "yes" : "NO");
-  bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
+  bench::note("wrote %s", opts.json_path.c_str());
   report.write(opts);
   return determinism_ok ? 0 : 1;
 }
@@ -521,7 +476,6 @@ bool identical_outcomes(const std::vector<ivc::serve::command_outcome>& a,
 }
 
 struct e2e_result {
-  double wall_s = 0.0;
   ivc::serve::serve_totals totals;
   std::vector<std::vector<ivc::defense::stream_event>> verdicts;
   std::vector<std::vector<ivc::serve::command_outcome>> outcomes;
@@ -573,7 +527,6 @@ e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
   for (std::size_t s = 0; s < num_sessions; ++s) {
     max_blocks = std::max(max_blocks, scripts[s].num_blocks());
   }
-  const ivc::bench::stopwatch clock;
   for (std::size_t round = 0; round < max_blocks; ++round) {
     for (std::size_t s = 0; s < num_sessions; ++s) {
       if (round >= scripts[s].num_blocks()) {
@@ -589,7 +542,6 @@ e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
     }
   }
   manager.finish();
-  result.wall_s = clock.elapsed_s();
   result.totals = manager.aggregate();
   result.verdicts.reserve(num_sessions);
   result.outcomes.reserve(num_sessions);
@@ -653,8 +605,7 @@ e2e_scorecard score_e2e(const std::vector<ivc::sim::session_script>& scripts,
 // labels, a 1-worker reference, then one run per wider worker count —
 // every one checked outcome- and verdict-bit-identical to the
 // reference — reporting attacker success / blocked / genuine
-// completion rates and the ASR latency histogram split from detector
-// service time.
+// completion rates.
 int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
                      std::size_t sessions_override,
                      const std::string& telemetry_dir) {
@@ -680,18 +631,12 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
                             "end-to-end command pipeline"};
   report.set_signature("serve-e2e-v1");
   report.set_seed(7);
-  const bench::stopwatch total_clock;
 
   sim::traffic_config tc;
   tc.num_sessions = num_sessions;
   tc.utterances_per_session = smoke ? 1 : 2;
   tc.num_threads = opts.threads;
   const sim::traffic_generator generator{tc, 7};
-  (void)trained_detector_cache();  // train before timing the render
-  // Enroll the shared template bank up front too (one 16 kHz entry
-  // serves the whole fleet — every device profile captures at 16 kHz).
-  (void)sim::shared_enrolled_recognizer(16'000.0, 1);
-  const bench::stopwatch render_clock;
   const std::vector<sim::session_script> scripts = generator.render_all();
   double fleet_audio_s = 0.0;
   std::size_t attack_streams = 0;
@@ -699,10 +644,8 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
     fleet_audio_s += s.capture.duration_s();
     attack_streams += s.is_attack ? 1 : 0;
   }
-  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio, "
-              "rendered in %.2f s",
-              scripts.size(), attack_streams, fleet_audio_s,
-              render_clock.elapsed_s());
+  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio",
+              scripts.size(), attack_streams, fleet_audio_s);
   report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
   report.add_metric("fleet_attack_streams",
                     static_cast<double>(attack_streams));
@@ -738,11 +681,7 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
   // reference in outcomes AND verdicts.
   bool determinism_ok = true;
   bool telemetry_ok = true;
-  sim::result_table sweep{{"workers"},
-                          {"wall_s", "rtf", "service_p50_ms", "asr_p50_ms",
-                           "asr_p95_ms", "utterances", "executed", "blocked"}};
-  std::printf("%8s %9s %9s %12s %10s %10s %7s %7s\n", "workers", "wall s",
-              "rtf", "service p50", "asr p50", "asr p95", "utter", "exec");
+  sim::result_table sweep{{"workers"}, {"utterances", "executed", "blocked"}};
   for (const std::size_t W : workers) {
     const e2e_result r =
         W != 1 ? run_e2e(scripts, num_sessions, telemetry_cfg(nullptr), W)
@@ -783,32 +722,14 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
       }
     }
     const serve::serve_totals& t = r.totals;
-    const double rtf = t.stats.audio_s_processed / r.wall_s;
-    std::printf("%8zu %9.2f %9.1f %10.2fms %8.2fms %8.2fms %7llu %7llu\n",
-                W, r.wall_s, rtf,
-                1e3 * t.stats.service.quantile(0.50),
-                1e3 * t.stats.asr_service.quantile(0.50),
-                1e3 * t.stats.asr_service.quantile(0.95),
-                static_cast<unsigned long long>(t.stats.utterances),
-                static_cast<unsigned long long>(t.stats.commands_executed));
     sim::result_table::row row;
     row.labels = {std::to_string(W)};
     row.coords = {static_cast<double>(W)};
-    row.metrics = {r.wall_s,
-                   rtf,
-                   1e3 * t.stats.service.quantile(0.50),
-                   1e3 * t.stats.asr_service.quantile(0.50),
-                   1e3 * t.stats.asr_service.quantile(0.95),
-                   static_cast<double>(t.stats.utterances),
+    row.metrics = {static_cast<double>(t.stats.utterances),
                    static_cast<double>(t.stats.commands_executed),
                    static_cast<double>(t.stats.commands_blocked)};
     sweep.add_row(row);
     if (W == workers.back()) {
-      // The widest run is the deployment shape: its histograms are the
-      // report's canonical latency decomposition.
-      report.add_latency_metrics("latency", t.stats.latency);
-      report.add_latency_metrics("service", t.stats.service);
-      report.add_latency_metrics("asr_service", t.stats.asr_service);
       report.add_metric("utterances",
                         static_cast<double>(t.stats.utterances));
       report.add_metric("commands_blocked",
@@ -819,8 +740,6 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
                         static_cast<double>(t.stats.commands_rejected));
       report.add_metric("commands_ignored",
                         static_cast<double>(t.stats.commands_ignored));
-      report.add_metric("rtf", rtf);
-      report.add_metric("wall_s", r.wall_s);
     }
   }
   sweep.print();
@@ -898,13 +817,11 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
     bench::note("telemetry artifacts in %s", telemetry_dir.c_str());
   }
 
-  const double elapsed = total_clock.elapsed_s();
-  report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("outcome + verdict streams bit-identical across worker "
               "counts: %s",
               determinism_ok ? "yes" : "NO");
-  bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
+  bench::note("wrote %s", opts.json_path.c_str());
   report.write(opts);
   return determinism_ok && telemetry_ok ? 0 : 1;
 }
@@ -955,7 +872,6 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
                             "fault-injection sweep"};
   report.set_signature("serve-chaos-v1");
   report.set_seed(7);
-  const bench::stopwatch total_clock;
 
   sim::traffic_config tc;
   tc.num_sessions = num_sessions;
@@ -999,11 +915,9 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
   double top_scale_attacker_success = 0.0;
   sim::result_table sweep{
       {"fault_scale", "workers"},
-      {"wall_s", "faulty_sessions", "quarantines", "reopens",
-       "detector_faults", "recognizer_faults", "corrupt_blocks", "overruns",
-       "shed_degraded", "failed_closed", "executed", "attacker_success"}};
-  std::printf("%7s %8s %9s %7s %6s %6s %7s %7s %7s\n", "scale", "workers",
-              "wall s", "faulty", "quar", "reopen", "f.clsd", "exec", "atk%%");
+      {"faulty_sessions", "quarantines", "reopens", "detector_faults",
+       "recognizer_faults", "corrupt_blocks", "overruns", "shed_degraded",
+       "failed_closed", "executed", "attacker_success"}};
   for (const double scale : fault_scales) {
     serve::serve_config cfg = base_cfg;
     if (scale > 0.0) {
@@ -1076,18 +990,10 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
       }
       const serve::session_stats& t = r.totals.stats;
       total_quarantines += t.quarantines;
-      std::printf("%7.2f %8zu %9.2f %7zu %6llu %6llu %7llu %7llu %6.1f%%\n",
-                  scale, W, r.wall_s, sessions_with_faults(r),
-                  static_cast<unsigned long long>(t.quarantines),
-                  static_cast<unsigned long long>(t.reopens),
-                  static_cast<unsigned long long>(t.utterances_failed_closed),
-                  static_cast<unsigned long long>(t.commands_executed),
-                  100.0 * attacker_success);
       sim::result_table::row row;
       row.labels = {std::to_string(scale), std::to_string(W)};
       row.coords = {scale, static_cast<double>(W)};
-      row.metrics = {r.wall_s,
-                     static_cast<double>(sessions_with_faults(r)),
+      row.metrics = {static_cast<double>(sessions_with_faults(r)),
                      static_cast<double>(t.quarantines),
                      static_cast<double>(t.reopens),
                      static_cast<double>(t.detector_faults),
@@ -1147,8 +1053,6 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
                     top_scale_fault_fraction);
   report.add_metric("sessions", static_cast<double>(num_sessions));
 
-  const double elapsed = total_clock.elapsed_s();
-  report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("streams bit-identical across worker counts under fault "
               "load: %s",
@@ -1159,7 +1063,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
               "success there %.1f%%",
               100.0 * top_scale_fault_fraction,
               100.0 * top_scale_attacker_success);
-  bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
+  bench::note("wrote %s", opts.json_path.c_str());
   report.write(opts);
   return determinism_ok && fail_closed_ok && coverage_ok && dumps_ok ? 0 : 1;
 }
@@ -1167,7 +1071,6 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
 // ---- Sharded front + snapshot/eviction (serve-shard-v1) --------------
 
 struct shard_run_result {
-  double wall_s = 0.0;
   ivc::serve::serve_totals totals;
   ivc::serve::eviction_stats eviction;
   ivc::serve::shard_balance balance;
@@ -1205,7 +1108,6 @@ shard_run_result run_sharded(
   for (std::size_t s = 0; s < num_sessions; ++s) {
     max_blocks = std::max(max_blocks, scripts[s].num_blocks());
   }
-  const ivc::bench::stopwatch clock;
   for (std::size_t round = 0; round < max_blocks; ++round) {
     for (std::size_t s = 0; s < num_sessions; ++s) {
       if (round >= scripts[s].num_blocks()) {
@@ -1221,7 +1123,6 @@ shard_run_result run_sharded(
     }
   }
   front.finish();
-  result.wall_s = clock.elapsed_s();
   result.totals = front.aggregate();
   result.eviction = front.eviction();
   result.balance = front.balance();
@@ -1278,7 +1179,6 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
                             "sharded front + snapshot eviction"};
   report.set_signature("serve-shard-v1");
   report.set_seed(7);
-  const bench::stopwatch total_clock;
 
   // ---- Phase A: the identity matrix. ---------------------------------
   const std::size_t matrix_sessions = smoke ? 32 : 48;
@@ -1322,11 +1222,8 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   bool identity_ok = true;
   bool eviction_engaged_ok = true;
   sim::result_table matrix{{"variant"},
-                           {"shards", "workers", "bound",
-                            "wall_s", "evictions", "rehydrations",
-                            "shard_kills", "identical"}};
-  std::printf("%-26s %7s %8s %9s %7s %9s %6s %5s\n", "variant", "shards",
-              "workers", "wall s", "evict", "rehydrate", "kills", "same");
+                           {"shards", "workers", "bound", "evictions",
+                            "rehydrations", "shard_kills", "identical"}};
   for (const variant& v : variants) {
     std::shared_ptr<const serve::fault_injector> faults;
     if (v.shard_kill_rate > 0.0) {
@@ -1365,19 +1262,12 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
       eviction_engaged_ok = false;
       std::fprintf(stderr, "VACUOUS VARIANT: %s killed no shard\n", v.name);
     }
-    std::printf("%-26s %7zu %8zu %9.2f %7llu %9llu %6llu %5s\n", v.name,
-                v.shards, v.workers, r.wall_s,
-                static_cast<unsigned long long>(r.eviction.evictions),
-                static_cast<unsigned long long>(r.eviction.rehydrations),
-                static_cast<unsigned long long>(kills),
-                same ? "yes" : "NO");
     sim::result_table::row row;
     row.labels = {v.name};
     row.coords = {static_cast<double>(matrix.rows().size())};
     row.metrics = {static_cast<double>(v.shards),
                    static_cast<double>(v.workers),
                    static_cast<double>(v.max_resident),
-                   r.wall_s,
                    static_cast<double>(r.eviction.evictions),
                    static_cast<double>(r.eviction.rehydrations),
                    static_cast<double>(kills),
@@ -1450,17 +1340,12 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   serve::shard_manager front{trained_detector_cache(), scale_cfg,
                              scale_shards};
 
-  const bench::stopwatch open_clock;
   for (std::size_t s = 0; s < scale_sessions; ++s) {
     front.open_session();
   }
-  const double open_s = open_clock.elapsed_s();
-  bench::note("opened %zu sessions across %zu shards in %.2f s (%.0f "
-              "sessions/s); residency bound %zu/shard, peak gate %zu "
-              "(%.2f%% of open)",
-              scale_sessions, scale_shards, open_s,
-              static_cast<double>(scale_sessions) / open_s, bound_per_shard,
-              resident_cap,
+  bench::note("opened %zu sessions across %zu shards; residency bound "
+              "%zu/shard, peak gate %zu (%.2f%% of open)",
+              scale_sessions, scale_shards, bound_per_shard, resident_cap,
               100.0 * static_cast<double>(resident_cap) /
                   static_cast<double>(scale_sessions));
 
@@ -1481,7 +1366,6 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   std::uint64_t rejected_retries = 0;
   std::uint64_t throttle_us = 0;
   std::uint64_t throttle_sleeps = 0;
-  const bench::stopwatch burst_clock;
   for (std::size_t burst = 0; burst < num_bursts; ++burst) {
     for (std::size_t s = 0; s < scale_sessions; ++s) {
       for (std::size_t b = 0; b < blocks_per_burst; ++b) {
@@ -1536,31 +1420,24 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
     bench::note("telemetry: %zu fleet samples -> %s/shard_timeseries.jsonl",
                 telemetry_samples, telemetry_dir.c_str());
   }
-  const double burst_s = burst_clock.elapsed_s();
   const serve::eviction_stats ev = front.eviction();
   peak_resident = std::max(peak_resident, ev.resident);
   const serve::shard_balance balance = front.balance();
-  const serve::serve_totals totals = front.aggregate();
   const bool bounded_ok = peak_resident <= resident_cap;
 
-  const double rtf = totals.stats.audio_s_processed / burst_s;
   const double eviction_rate =
       offers > 0 ? static_cast<double>(ev.evictions) /
                        static_cast<double>(offers)
                  : 0.0;
-  bench::note("replayed %llu offers in %.2f s (%.0f offers/s, %.0fx "
-              "real time), %llu rejected-retry stalls, %llu throttle "
-              "sleeps",
-              static_cast<unsigned long long>(offers), burst_s,
-              static_cast<double>(offers) / burst_s, rtf,
+  bench::note("replayed %llu offers, %llu rejected-retry stalls, %llu "
+              "throttle sleeps",
+              static_cast<unsigned long long>(offers),
               static_cast<unsigned long long>(rejected_retries),
               static_cast<unsigned long long>(throttle_sleeps));
   bench::note("evictions %llu (%.2f per offer), rehydrations %llu, "
-              "rehydrate p50 %.3f ms / p95 %.3f ms, frozen set %.1f MiB",
+              "frozen set %.1f MiB",
               static_cast<unsigned long long>(ev.evictions), eviction_rate,
               static_cast<unsigned long long>(ev.rehydrations),
-              1e3 * ev.rehydrate_latency.quantile(0.50),
-              1e3 * ev.rehydrate_latency.quantile(0.95),
               static_cast<double>(ev.frozen_bytes) / (1024.0 * 1024.0));
   bench::note("peak resident %zu of %zu open (gate %zu): %s", peak_resident,
               scale_sessions, resident_cap,
@@ -1645,20 +1522,13 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   report.add_metric("resident_cap", static_cast<double>(resident_cap));
   report.add_metric("peak_resident", static_cast<double>(peak_resident));
   report.add_metric("bounded_ok", bounded_ok ? 1.0 : 0.0);
-  report.add_metric("open_sessions_per_s",
-                    static_cast<double>(scale_sessions) / open_s);
   report.add_metric("offers", static_cast<double>(offers));
-  report.add_metric("offers_per_s",
-                    static_cast<double>(offers) / burst_s);
-  report.add_metric("rtf", rtf);
-  report.add_metric("wall_s", burst_s);
   report.add_metric("evictions", static_cast<double>(ev.evictions));
   report.add_metric("rehydrations", static_cast<double>(ev.rehydrations));
   report.add_metric("eviction_rate", eviction_rate);
   report.add_metric("frozen_mib",
                     static_cast<double>(ev.frozen_bytes) /
                         (1024.0 * 1024.0));
-  report.add_latency_metrics("rehydrate", ev.rehydrate_latency);
   report.add_metric("balance_min_sessions",
                     static_cast<double>(balance.min_sessions));
   report.add_metric("balance_max_sessions",
@@ -1672,15 +1542,13 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
                       static_cast<double>(telemetry_samples));
   }
 
-  const double elapsed = total_clock.elapsed_s();
-  report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("identity matrix bit-identical across shards/workers/"
               "eviction/kills: %s",
               identity_ok ? "yes" : "NO");
   bench::note("resident working set stayed bounded at scale: %s",
               bounded_ok ? "yes" : "NO");
-  bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
+  bench::note("wrote %s", opts.json_path.c_str());
   report.write(opts);
   return identity_ok && eviction_engaged_ok && bounded_ok && hash_ok ? 0 : 1;
 }
@@ -1695,8 +1563,6 @@ int main(int argc, char** argv) {
   bool e2e = false;
   bool chaos = false;
   bool shard = false;
-  double pace = 4.0;
-  double session_rate_hz = 32.0;
   std::size_t sessions_override = 0;
   std::string telemetry_dir;
   for (int i = 1; i < argc; ++i) {
@@ -1711,12 +1577,6 @@ int main(int argc, char** argv) {
       chaos = true;
     } else if (arg == "--shard") {
       shard = true;
-    } else if (arg == "--pace" && i + 1 < argc) {
-      const double v = std::atof(argv[++i]);
-      pace = v > 0.0 ? v : pace;
-    } else if (arg == "--rate" && i + 1 < argc) {
-      const double v = std::atof(argv[++i]);
-      session_rate_hz = v > 0.0 ? v : session_rate_hz;
     } else if (arg == "--sessions" && i + 1 < argc) {
       const long long v = std::atoll(argv[++i]);
       sessions_override = v > 0 ? static_cast<std::size_t>(v) : 0;
@@ -1743,8 +1603,7 @@ int main(int argc, char** argv) {
     return run_e2e_protocol(opts, smoke, sessions_override, telemetry_dir);
   }
   if (paced) {
-    return run_paced_protocol(opts, smoke, sessions_override, pace,
-                              session_rate_hz, telemetry_dir);
+    return run_paced_protocol(opts, smoke, sessions_override, telemetry_dir);
   }
   const std::size_t hw = default_thread_count();
 
@@ -1772,7 +1631,6 @@ int main(int argc, char** argv) {
                             "multi-stream serving load"};
   report.set_signature("serve-load-v1");
   report.set_seed(7);
-  const bench::stopwatch total_clock;
 
   // ---- Traffic: rendered once at the largest session count. ----------
   sim::traffic_config tc;
@@ -1781,8 +1639,6 @@ int main(int argc, char** argv) {
   tc.utterances_per_session = smoke ? 1 : 2;
   tc.num_threads = opts.threads;
   const sim::traffic_generator generator{tc, 7};
-  (void)trained_detector_cache();  // train before timing the render
-  const bench::stopwatch render_clock;
   const std::vector<sim::session_script> scripts = generator.render_all();
   double fleet_audio_s = 0.0;
   std::size_t attack_streams = 0;
@@ -1790,10 +1646,8 @@ int main(int argc, char** argv) {
     fleet_audio_s += s.capture.duration_s();
     attack_streams += s.is_attack ? 1 : 0;
   }
-  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio, "
-              "rendered in %.2f s",
-              scripts.size(), attack_streams, fleet_audio_s,
-              render_clock.elapsed_s());
+  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio",
+              scripts.size(), attack_streams, fleet_audio_s);
   report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
   report.add_metric("fleet_attack_streams",
                     static_cast<double>(attack_streams));
@@ -1803,14 +1657,10 @@ int main(int argc, char** argv) {
   // ---- Sweep: sessions × block size × workers. -----------------------
   sim::result_table sweep{
       {"sessions", "block_ms", "workers"},
-      {"wall_s", "audio_s", "rtf", "p50_ms", "p95_ms", "p99_ms",
-       "shed_blocks", "events"}};
+      {"audio_s", "shed_blocks", "events"}};
   bool determinism_ok = true;
   double serving_detection_rate = 0.0;
   double serving_fpr = 0.0;
-  std::printf("%9s %9s %8s %9s %9s %9s %9s %9s %7s\n", "sessions", "block",
-              "workers", "wall s", "rtf", "p50 ms", "p95 ms", "p99 ms",
-              "events");
   for (const std::size_t S : session_counts) {
     for (const double B : block_ms) {
       // Reference verdict streams for this (S, B): the 1-worker run.
@@ -1860,24 +1710,11 @@ int main(int argc, char** argv) {
           }
         }
         const serve::serve_totals& t = r.totals;
-        const double audio_s = t.stats.audio_s_processed;
-        const double rtf = audio_s / r.wall_s;
-        const double p50 = 1e3 * t.stats.latency.quantile(0.50);
-        const double p95 = 1e3 * t.stats.latency.quantile(0.95);
-        const double p99 = 1e3 * t.stats.latency.quantile(0.99);
-        std::printf("%9zu %7.0fms %8zu %9.2f %9.1f %9.2f %9.2f %9.2f %7llu\n",
-                    S, B, W, r.wall_s, rtf, p50, p95, p99,
-                    static_cast<unsigned long long>(t.stats.events));
         sim::result_table::row row;
         row.labels = {std::to_string(S), std::to_string(B),
                       std::to_string(W)};
         row.coords = {static_cast<double>(S), B, static_cast<double>(W)};
-        row.metrics = {r.wall_s,
-                       audio_s,
-                       rtf,
-                       p50,
-                       p95,
-                       p99,
+        row.metrics = {t.stats.audio_s_processed,
                        static_cast<double>(t.stats.blocks_shed),
                        static_cast<double>(t.stats.events)};
         sweep.add_row(row);
@@ -1916,28 +1753,23 @@ int main(int argc, char** argv) {
         offered > 0.0 ? static_cast<double>(t.stats.blocks_shed) / offered
                       : 0.0;
     bench::note("overload (queue=4, drain every 16): %llu of %llu blocks "
-                "shed (%.0f%%), p99 %.2f ms",
+                "shed (%.0f%%)",
                 static_cast<unsigned long long>(t.stats.blocks_shed),
                 static_cast<unsigned long long>(t.stats.blocks_offered),
-                100.0 * shed_fraction,
-                1e3 * t.stats.latency.quantile(0.99));
+                100.0 * shed_fraction);
     report.add_metric("overload_shed_blocks",
                       static_cast<double>(t.stats.blocks_shed));
     report.add_metric("overload_shed_fraction", shed_fraction);
-    report.add_metric("overload_p99_ms",
-                      1e3 * t.stats.latency.quantile(0.99));
     if (t.stats.blocks_shed == 0) {
       std::fprintf(stderr, "overload pass unexpectedly shed nothing\n");
       return 1;
     }
   }
 
-  const double elapsed = total_clock.elapsed_s();
-  report.add_metric("elapsed_s", elapsed);
   bench::rule();
   bench::note("verdict streams bit-identical at 1 vs N workers: %s",
               determinism_ok ? "yes" : "NO");
-  bench::note("wrote %s in %.2f s", opts.json_path.c_str(), elapsed);
+  bench::note("wrote %s", opts.json_path.c_str());
   report.write(opts);
   return determinism_ok ? 0 : 1;
 }

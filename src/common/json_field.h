@@ -9,6 +9,7 @@
 // arrays), so restore() bodies read declaratively.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -44,9 +45,19 @@ inline const array& arr(const value& v, const char* key) {
 }
 
 // Counters ride in doubles; exact up to 2^53 — far beyond any counter
-// this codebase can reach.
+// this codebase can reach. A corrupt image can carry any double, and
+// casting NaN, a negative or an out-of-range value is undefined, so
+// anything that is not a non-negative integer below 2^64 is rejected.
+inline std::uint64_t to_u64(const value& v) {
+  const double d = v.number();
+  if (!(d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d))) {
+    throw std::invalid_argument{"json: not an unsigned integer"};
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
 inline std::uint64_t u64(const value& v, const char* key) {
-  return static_cast<std::uint64_t>(num(v, key));
+  return to_u64(field(v, key));
 }
 
 inline value from_samples(const std::vector<double>& samples) {

@@ -76,7 +76,12 @@ void decode_counters(const json::value& v, session_stats& st) {
           "session snapshot: counter block size mismatch");
   std::size_t i = 0;
   for_each_counter(st, [&](auto& slot) {
-    slot = static_cast<std::decay_t<decltype(slot)>>(a[i++].number());
+    const json::value& x = a[i++];
+    if constexpr (std::is_integral_v<std::decay_t<decltype(slot)>>) {
+      slot = json::to_u64(x);
+    } else {
+      slot = x.number();
+    }
   });
 }
 
@@ -139,9 +144,9 @@ std::vector<command_outcome> decode_outcomes(const json::value& v) {
     command_outcome o;
     o.start_s = row[0].number();
     o.end_s = row[1].number();
-    const int kind = static_cast<int>(row[2].number());
-    const int fault = static_cast<int>(row[3].number());
-    expects(kind >= 0 && kind <= 3 && fault >= 0 && fault <= 4,
+    const std::uint64_t kind = json::to_u64(row[2]);
+    const std::uint64_t fault = json::to_u64(row[3]);
+    expects(kind <= 3 && fault <= 4,
             "session snapshot: outcome enum out of range");
     o.kind = static_cast<command_outcome::kind_t>(kind);
     o.fault = static_cast<command_outcome::fault_t>(fault);
@@ -890,19 +895,17 @@ void detection_session::restore(const json::value& snap) {
   const ts_lock lock{mutex_};
   expects(count_ == 0 && stats_.blocks_offered == 0,
           "detection_session::restore: session must be freshly constructed");
-  expects(static_cast<int>(json::num(snap, "v")) == 1,
+  expects(json::u64(snap, "v") == 1,
           "session snapshot: unknown schema version");
   const json::value& pl = json::field(snap, "pl");
   expects(pl.is_null() != pipeline_.has_value(),
           "session snapshot: pipeline presence mismatch");
   closed_ = json::flag(snap, "cl");
   finished_ = json::flag(snap, "fi");
-  const int st = static_cast<int>(json::num(snap, "st"));
-  expects(st >= 0 && st <= 3, "session snapshot: state out of range");
-  state_ = static_cast<session_state>(st);
+  state_ = snapshot_state(snap);
   last_error_ = json::str(snap, "err");
   consumed_blocks_ = json::u64(snap, "cb");
-  reopen_count_ = static_cast<std::size_t>(json::num(snap, "rc"));
+  reopen_count_ = static_cast<std::size_t>(json::u64(snap, "rc"));
   backoff_remaining_ = json::u64(snap, "bo");
   decode_counters(json::field(snap, "ctr"), stats_);
   stats_.latency.restore(json::field(snap, "lh"));
@@ -917,12 +920,7 @@ void detection_session::restore(const json::value& snap) {
   }
   const json::value& lg = json::field(snap, "lg");
   last_good_ = lg.is_null() ? std::string{} : lg.string();
-  // Older images (pre-flight-recorder) carry no "tr" field; an empty
-  // ring is the right rehydration for them.
-  const json::value* tr = snap.find("tr");
-  if (tr != nullptr) {
-    trace_.restore(*tr);
-  }
+  trace_.restore(json::field(snap, "tr"));
 }
 
 // ---- Frozen-snapshot readers ------------------------------------------
@@ -939,8 +937,8 @@ session_stats snapshot_stats(const json::value& snap,
 }
 
 session_state snapshot_state(const json::value& snap) {
-  const int st = static_cast<int>(json::num(snap, "st"));
-  expects(st >= 0 && st <= 3, "session snapshot: state out of range");
+  const std::uint64_t st = json::u64(snap, "st");
+  expects(st <= 3, "session snapshot: state out of range");
   return static_cast<session_state>(st);
 }
 
@@ -961,11 +959,7 @@ std::vector<command_outcome> snapshot_outcomes(const json::value& snap) {
 }
 
 std::vector<obs::span> snapshot_trace(const json::value& snap) {
-  const json::value* tr = snap.find("tr");
-  if (tr == nullptr) {
-    return {};  // pre-flight-recorder image
-  }
-  return obs::decode_spans(json::field(*tr, "sp"));
+  return obs::decode_spans(json::field(json::field(snap, "tr"), "sp"));
 }
 
 }  // namespace ivc::serve

@@ -11,17 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asr/segmenter.h"
 #include "audio/buffer.h"
 #include "audio/ops.h"
+#include "common/json_field.h"
 #include "common/json_min.h"
 #include "common/rng.h"
 #include "defense/classifier.h"
@@ -350,6 +353,67 @@ TEST(snapshot, try_snapshot_refuses_non_idle_sessions) {
   bare.pipeline.reset();
   detection_session fresh{0, tiny_detector(), bare};
   EXPECT_THROW(fresh.restore(snap), std::invalid_argument);
+}
+
+// `snap` with member `key` replaced by `v` (or dropped when `v` is empty).
+json::value with_member(const json::value& snap, const std::string& key,
+                        std::optional<json::value> v) {
+  json::object o;
+  for (const auto& [name, member] : snap.members()) {
+    if (name != key) {
+      o.emplace_back(name, member);
+    } else if (v.has_value()) {
+      o.emplace_back(name, *v);
+    }
+  }
+  return json::value{std::move(o)};
+}
+
+// A bit flip in a frozen image can turn any integer field into NaN, a
+// negative or a huge double. Every such image, and one missing its
+// flight recorder, must be refused with invalid_argument by restore()
+// and by the frozen-image readers, never cast.
+TEST(snapshot, restore_rejects_corrupt_integer_fields_and_missing_trace) {
+  const serve_config cfg = fleet_config();
+  detection_session s{0, tiny_detector(), cfg};
+  s.offer(command_stream(49));
+  s.close();
+  drain_session(s);
+  json::value snap;
+  ASSERT_TRUE(s.try_snapshot(snap));
+
+  json::array counters = json::field(snap, "ctr").items();
+  counters[0] = json::value{1e300};
+  json::array outcomes = json::field(snap, "oc").items();
+  ASSERT_FALSE(outcomes.empty());
+  json::array row = outcomes[0].items();
+  row[2] = json::value{std::nan("")};
+  outcomes[0] = json::value{std::move(row)};
+
+  const std::vector<std::pair<std::string, json::value>> corrupt = {
+      {"cb = -1", with_member(snap, "cb", json::value{-1.0})},
+      {"rc = NaN", with_member(snap, "rc", json::value{std::nan("")})},
+      {"st = 1.5", with_member(snap, "st", json::value{1.5})},
+      {"counter = 1e300",
+       with_member(snap, "ctr", json::value{std::move(counters)})},
+      {"outcome kind = NaN",
+       with_member(snap, "oc", json::value{std::move(outcomes)})},
+      {"no tr", with_member(snap, "tr", std::nullopt)},
+  };
+  for (const auto& [what, image] : corrupt) {
+    detection_session fresh{0, tiny_detector(), cfg};
+    EXPECT_THROW(fresh.restore(image), std::invalid_argument) << what;
+  }
+  EXPECT_THROW(snapshot_stats(corrupt[3].second, cfg.latency_bins),
+               std::invalid_argument);
+  EXPECT_THROW(snapshot_state(corrupt[2].second), std::invalid_argument);
+  EXPECT_THROW(snapshot_outcomes(corrupt[4].second), std::invalid_argument);
+  EXPECT_THROW(snapshot_trace(corrupt[5].second), std::invalid_argument);
+
+  // The untouched image still restores.
+  detection_session fresh{0, tiny_detector(), cfg};
+  fresh.restore(snap);
+  expect_same_outcomes(s.outcomes(), fresh.outcomes(), "intact image");
 }
 
 // ---- checkpoint-based crash recovery ---------------------------------
