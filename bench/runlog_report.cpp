@@ -14,7 +14,7 @@
 // Telemetry mode: summarizes a fleet-sampler time-series (the JSONL
 // `serve_load --telemetry` writes during --paced/--shard runs) — sample
 // count, run duration, PEAK resident working set, end-of-run eviction
-// rate, and the final stage-latency quantiles. With --baseline it
+// rate, and the final shed/reject/fault counts. With --baseline it
 // prints each summary line's delta against a previous run's series, so
 // two telemetry captures diff the way runlog records do.
 #include <algorithm>
@@ -90,8 +90,7 @@ flat_sample summarize_series(const std::vector<flat_sample>& series) {
                    sample_get(last, "frozen_bytes") / (1024.0 * 1024.0));
   for (const char* name :
        {"blocks_offered", "blocks_shed", "blocks_rejected", "quarantines",
-        "reopens", "queue_p50_ms", "queue_p95_ms", "service_p50_ms",
-        "service_p95_ms", "asr_p50_ms", "asr_p95_ms", "shard_kills"}) {
+        "reopens", "shard_kills"}) {
     for (const auto& [key, value] : last) {
       if (key == name) {
         out.emplace_back(name, value);

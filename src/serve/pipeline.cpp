@@ -79,41 +79,8 @@ void intent_engine::restore(const json::value& snap) {
   armed_until_s_ = json::num(snap, "until");
 }
 
-command_pipeline::metric_handles::metric_handles(obs::metrics_registry* reg)
-    : blocked{reg == nullptr
-                  ? obs::counter{}
-                  : reg->get_counter("serve_pipeline_outcomes_total",
-                                     {{"kind", "blocked"}})},
-      executed{reg == nullptr
-                   ? obs::counter{}
-                   : reg->get_counter("serve_pipeline_outcomes_total",
-                                      {{"kind", "executed"}})},
-      rejected{reg == nullptr
-                   ? obs::counter{}
-                   : reg->get_counter("serve_pipeline_outcomes_total",
-                                      {{"kind", "rejected_by_asr"}})},
-      ignored{reg == nullptr
-                  ? obs::counter{}
-                  : reg->get_counter("serve_pipeline_outcomes_total",
-                                     {{"kind", "ignored"}})},
-      deadline_overruns{
-          reg == nullptr
-              ? obs::counter{}
-              : reg->get_counter("serve_pipeline_fault_blocks_total",
-                                 {{"fault", "deadline_overrun"}})},
-      degraded_sheds{reg == nullptr
-                         ? obs::counter{}
-                         : reg->get_counter("serve_pipeline_fault_blocks_total",
-                                            {{"fault", "degraded_shed"}})},
-      stage_fault_flushes{
-          reg == nullptr
-              ? obs::counter{}
-              : reg->get_counter("serve_pipeline_fault_blocks_total",
-                                 {{"fault", "stage_fault"}})} {}
-
 command_pipeline::command_pipeline(pipeline_config config)
     : config_{std::move(config)},
-      metrics_{config_.metrics.get()},
       segmenter_{config_.segmenter},
       intent_{config_.intent} {
   expects(config_.recognizer != nullptr,
@@ -134,9 +101,9 @@ void command_pipeline::absorb_verdicts(
   }
 }
 
-std::vector<command_outcome> command_pipeline::feed(
-    const audio::buffer& block,
-    const std::vector<defense::stream_event>& verdicts) {
+void command_pipeline::feed(const audio::buffer& block,
+                            const std::vector<defense::stream_event>& verdicts,
+                            std::vector<command_outcome>& out) {
   // Verdicts first: any utterance this block completes resolves against
   // every window decided up to and including this block.
   absorb_verdicts(verdicts);
@@ -152,19 +119,17 @@ std::vector<command_outcome> command_pipeline::feed(
   for (asr::utterance& u : cut) {
     pending_.push_back(std::move(u));
   }
-  std::vector<command_outcome> out;
   resolve_ready(/*flush=*/false, out);
-  return out;
 }
 
-std::vector<command_outcome> command_pipeline::finish(
-    const std::vector<defense::stream_event>& tail_verdicts) {
+void command_pipeline::finish(
+    const std::vector<defense::stream_event>& tail_verdicts,
+    std::vector<command_outcome>& out) {
   absorb_verdicts(tail_verdicts);
   std::vector<asr::utterance> cut = segmenter_.finish();
   for (asr::utterance& u : cut) {
     pending_.push_back(std::move(u));
   }
-  std::vector<command_outcome> out;
   resolve_ready(/*flush=*/true, out);
   attack_windows_.clear();
   intent_.reset();
@@ -172,7 +137,6 @@ std::vector<command_outcome> command_pipeline::finish(
   consumed_s_ = 0.0;
   rate_ = 0.0;
   degraded_until_s_ = 0.0;
-  return out;
 }
 
 std::vector<command_outcome> command_pipeline::fail_closed() {
@@ -197,42 +161,10 @@ std::vector<command_outcome> command_pipeline::fail_closed() {
     o.end_s = u.end_s;
     o.kind = command_outcome::kind_t::blocked;
     o.fault = command_outcome::fault_t::stage_fault;
-    note(o);
     out.push_back(std::move(o));
   }
   reset();
   return out;
-}
-
-void command_pipeline::note(const command_outcome& o) {
-  switch (o.kind) {
-    case command_outcome::kind_t::blocked:
-      metrics_.blocked.inc();
-      break;
-    case command_outcome::kind_t::executed:
-      metrics_.executed.inc();
-      break;
-    case command_outcome::kind_t::rejected_by_asr:
-      metrics_.rejected.inc();
-      break;
-    case command_outcome::kind_t::ignored:
-      metrics_.ignored.inc();
-      break;
-  }
-  switch (o.fault) {
-    case command_outcome::fault_t::deadline_overrun:
-      metrics_.deadline_overruns.inc();
-      break;
-    case command_outcome::fault_t::degraded_shed:
-      metrics_.degraded_sheds.inc();
-      break;
-    case command_outcome::fault_t::stage_fault:
-      metrics_.stage_fault_flushes.inc();
-      break;
-    case command_outcome::fault_t::none:
-    case command_outcome::fault_t::recognizer_throw:
-      break;
-  }
 }
 
 void command_pipeline::resolve_ready(bool flush,
@@ -250,7 +182,6 @@ void command_pipeline::resolve_ready(bool flush,
       break;
     }
     out.push_back(resolve(u));
-    note(out.back());
     pending_.pop_front();
   }
   // Windows that can no longer overlap anything pending are done. The

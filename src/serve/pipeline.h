@@ -51,7 +51,6 @@
 #include "asr/segmenter.h"
 #include "audio/buffer.h"
 #include "defense/stream.h"
-#include "obs/registry.h"
 #include "serve/fault.h"
 
 namespace ivc::serve {
@@ -116,9 +115,11 @@ struct command_outcome {
   // a defense verdict. Fail-closed is the contract: a faulted stage can
   // only ever widen `blocked`, never produce `executed` — an attacker
   // who crashes or stalls the pipeline gains nothing.
+  // A recognizer that throws surfaces as stage_fault: the session's
+  // containment flushes the utterance. stage_fault stays the last
+  // enumerator (the snapshot decoder's range check reads it).
   enum class fault_t {
     none,              // blocked by a verdict, or not blocked at all
-    recognizer_throw,  // the ASR stage threw mid-recognition
     deadline_overrun,  // modeled recognizer cost blew the deadline budget
     degraded_shed,     // session in detector-only mode: ASR stage shed
     stage_fault,       // containment flushed it after a stage crash
@@ -178,29 +179,43 @@ struct pipeline_config {
   // faults key on (kind, session, utterance index).
   std::shared_ptr<const fault_injector> faults;
   std::uint64_t fault_session_id = 0;
-  // Fleet metrics registry for the stage's utterance-outcome counters;
-  // null = no metrics. detection_session propagates its own registry
-  // here so a fleet needs to be wired exactly once.
-  std::shared_ptr<obs::metrics_registry> metrics;
 };
 
 // The per-session stage. Single-consumer, like the stream_detector it
 // sits behind: the session's exclusive-claim contract means only one
-// worker feeds it at a time.
+// worker feeds it at a time. The stage counts nothing: the owning
+// session records every outcome it returns.
 class command_pipeline {
  public:
   explicit command_pipeline(pipeline_config config);
 
   // Feeds the block the detector just scored plus the verdicts that
-  // scoring emitted; returns every outcome resolved by it.
+  // scoring emitted; appends every outcome resolved by it to `out`.
+  // When the recognizer throws, `out` keeps the outcomes resolved
+  // before the throw and the throwing utterance stays pending, so the
+  // session records the former and fail_closed() flushes the latter.
+  void feed(const audio::buffer& block,
+            const std::vector<defense::stream_event>& verdicts,
+            std::vector<command_outcome>& out);
   std::vector<command_outcome> feed(
       const audio::buffer& block,
-      const std::vector<defense::stream_event>& verdicts);
+      const std::vector<defense::stream_event>& verdicts) {
+    std::vector<command_outcome> out;
+    feed(block, verdicts, out);
+    return out;
+  }
 
   // End of stream: absorbs the detector's finish() tail verdicts,
-  // flushes the segmenter, resolves everything pending, and resets.
+  // flushes the segmenter, resolves everything pending into `out` (same
+  // contract on a throw as feed()), and resets.
+  void finish(const std::vector<defense::stream_event>& tail_verdicts,
+              std::vector<command_outcome>& out);
   std::vector<command_outcome> finish(
-      const std::vector<defense::stream_event>& tail_verdicts = {});
+      const std::vector<defense::stream_event>& tail_verdicts = {}) {
+    std::vector<command_outcome> out;
+    finish(tail_verdicts, out);
+    return out;
+  }
 
   // Fault containment: resolves EVERY pending utterance as `blocked`
   // (fault=stage_fault) without running ASR, flushes whatever the
@@ -235,30 +250,13 @@ class command_pipeline {
   const pipeline_config& config() const { return config_; }
 
  private:
-  // Fleet-wide counter handles, registered once per stage construction.
-  // Outcome counts are pure functions of the accepted-block order, so
-  // they stay in the deterministic fingerprint.
-  struct metric_handles {
-    explicit metric_handles(obs::metrics_registry* reg);
-    obs::counter blocked;
-    obs::counter executed;
-    obs::counter rejected;
-    obs::counter ignored;
-    obs::counter deadline_overruns;
-    obs::counter degraded_sheds;
-    obs::counter stage_fault_flushes;
-  };
-
   void absorb_verdicts(const std::vector<defense::stream_event>& verdicts);
   // Resolves pending utterances that are decidable at stream time
   // `consumed_s` (all of them when `flush` is set).
   void resolve_ready(bool flush, std::vector<command_outcome>& out);
   command_outcome resolve(const asr::utterance& u);
-  // Bumps the outcome/fault counters for one resolved utterance.
-  void note(const command_outcome& o);
 
   pipeline_config config_;
-  metric_handles metrics_;
   asr::utterance_segmenter segmenter_;
   intent_engine intent_;
   // Decided attack windows, as [start, end] intervals on the stream.

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <limits>
-#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/error.h"
 #include "common/json_field.h"
@@ -28,61 +28,30 @@ bool all_finite(const audio::buffer& b) {
 }
 
 // ---- Snapshot codecs ---------------------------------------------------
-// The counter block serializes as one flat number array; encode and
-// decode share this single member walk so the order can never drift.
-// Appending a counter to session_stats means appending it HERE (at the
-// end — the array length is part of the v1 schema).
-template <typename Stats, typename F>
-void for_each_counter(Stats& st, F&& f) {
-  f(st.blocks_offered);
-  f(st.blocks_accepted);
-  f(st.blocks_processed);
-  f(st.blocks_shed);
-  f(st.blocks_rejected);
-  f(st.samples_processed);
-  f(st.audio_s_processed);
-  f(st.events);
-  f(st.attack_events);
-  f(st.utterances);
-  f(st.commands_blocked);
-  f(st.commands_executed);
-  f(st.commands_rejected);
-  f(st.commands_ignored);
-  f(st.detector_faults);
-  f(st.recognizer_faults);
-  f(st.corrupt_blocks);
-  f(st.asr_deadline_overruns);
-  f(st.utterances_shed_degraded);
-  f(st.utterances_failed_closed);
-  f(st.quarantines);
-  f(st.reopens);
-  f(st.blocks_dropped_backoff);
-  f(st.stage_snapshots);
-  f(st.snapshot_restores);
-}
-constexpr std::size_t counter_fields = 25;
-
+// The counter block serializes as one flat number array in
+// session_counters order.
 json::value encode_counters(const session_stats& st) {
   json::array a;
-  a.reserve(counter_fields);
-  for_each_counter(st,
-                   [&a](auto v) { a.emplace_back(static_cast<double>(v)); });
+  a.reserve(std::size(session_counters));
+  for (const counter_def& c : session_counters) {
+    a.emplace_back(counter_value(st, c));
+  }
   return json::value{std::move(a)};
 }
 
+void decode_field(const json::value& x, std::uint64_t& slot) {
+  slot = json::to_u64(x);
+}
+void decode_field(const json::value& x, double& slot) { slot = x.number(); }
+
 void decode_counters(const json::value& v, session_stats& st) {
   const json::array& a = v.items();
-  expects(a.size() == counter_fields,
+  expects(a.size() == std::size(session_counters),
           "session snapshot: counter block size mismatch");
-  std::size_t i = 0;
-  for_each_counter(st, [&](auto& slot) {
-    const json::value& x = a[i++];
-    if constexpr (std::is_integral_v<std::decay_t<decltype(slot)>>) {
-      slot = json::to_u64(x);
-    } else {
-      slot = x.number();
-    }
-  });
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::visit([&](auto f) { decode_field(a[i], st.*f); },
+               session_counters[i].field);
+  }
 }
 
 // Verdicts pack as flat (time, score, is_attack) triples — an all-number
@@ -146,7 +115,10 @@ std::vector<command_outcome> decode_outcomes(const json::value& v) {
     o.end_s = row[1].number();
     const std::uint64_t kind = json::to_u64(row[2]);
     const std::uint64_t fault = json::to_u64(row[3]);
-    expects(kind <= 3 && fault <= 4,
+    expects(kind <= static_cast<std::uint64_t>(
+                         command_outcome::kind_t::ignored) &&
+                fault <= static_cast<std::uint64_t>(
+                             command_outcome::fault_t::stage_fault),
             "session snapshot: outcome enum out of range");
     o.kind = static_cast<command_outcome::kind_t>(kind);
     o.fault = static_cast<command_outcome::fault_t>(fault);
@@ -160,16 +132,51 @@ std::vector<command_outcome> decode_outcomes(const json::value& v) {
   return out;
 }
 
-// Maps a fault counter to the pipeline stage a flight-recorder span
-// attributes the fault to.
-obs::trace_stage fault_stage(std::uint64_t session_stats::* counter) {
-  if (counter == &session_stats::detector_faults) {
+// The pipeline stage a flight-recorder span attributes a fault counter
+// to.
+template <auto Counter>
+constexpr obs::trace_stage fault_stage() {
+  if constexpr (Counter == &session_stats::detector_faults) {
     return obs::trace_stage::detector;
-  }
-  if (counter == &session_stats::recognizer_faults) {
+  } else if constexpr (Counter == &session_stats::recognizer_faults) {
     return obs::trace_stage::asr;
+  } else {
+    static_assert(Counter == &session_stats::corrupt_blocks);
+    return obs::trace_stage::ingest;
   }
-  return obs::trace_stage::ingest;  // corrupt_blocks
+}
+
+// The message of the exception being handled, or `fallback` for one
+// that is not a std::exception. Call only inside a catch block.
+std::string current_error(const char* fallback) {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return fallback;
+  }
+}
+
+// One registry cell per ledger row that names a series; the other
+// handles stay no-ops, as do all of them without a registry.
+counter_cells register_cells(obs::metrics_registry* reg) {
+  counter_cells cells;
+  if (reg == nullptr) {
+    return cells;
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const counter_def& c = session_counters[i];
+    if (c.series == nullptr) {
+      continue;
+    }
+    obs::label_set labels;
+    if (c.label_key != nullptr) {
+      labels.emplace_back(c.label_key, c.label_value);
+    }
+    cells[i] = reg->get_counter(c.series, std::move(labels), c.deterministic);
+  }
+  return cells;
 }
 
 const char* outcome_kind_name(command_outcome::kind_t kind) {
@@ -189,44 +196,10 @@ const char* outcome_kind_name(command_outcome::kind_t kind) {
 }  // namespace
 
 void session_stats::merge(const session_stats& other) {
-  // Zip the two structs through the shared counter walk: read `other`'s
-  // counters into a flat buffer, then add them slot-by-slot.
-  std::vector<double> vals;
-  vals.reserve(counter_fields);
-  for_each_counter(other,
-                   [&vals](auto v) { vals.push_back(static_cast<double>(v)); });
-  std::size_t i = 0;
-  for_each_counter(*this, [&](auto& slot) {
-    slot += static_cast<std::decay_t<decltype(slot)>>(vals[i++]);
-  });
-  latency.merge(other.latency);
-  queue_wait.merge(other.queue_wait);
-  service.merge(other.service);
-  asr_service.merge(other.asr_service);
-}
-
-// Registers the fleet-shared cells once per session; every handle
-// degrades to a no-op when the registry is null (telemetry off).
-detection_session::metric_handles::metric_handles(obs::metrics_registry* reg) {
-  if (reg == nullptr) {
-    return;
+  for (const counter_def& c : session_counters) {
+    std::visit([&](auto f) { this->*f += other.*f; }, c.field);
   }
-  blocks_processed = reg->get_counter("serve_blocks_processed_total");
-  // Shed/reject counts depend on drain timing (workers drain while
-  // producers offer), so they are excluded from the deterministic
-  // fingerprint.
-  blocks_shed = reg->get_counter("serve_blocks_shed_total", {}, false);
-  blocks_rejected = reg->get_counter("serve_blocks_rejected_total", {}, false);
-  events = reg->get_counter("serve_verdicts_total");
-  attack_events = reg->get_counter("serve_attack_verdicts_total");
-  faults_ingest =
-      reg->get_counter("serve_stage_faults_total", {{"stage", "ingest"}});
-  faults_detector =
-      reg->get_counter("serve_stage_faults_total", {{"stage", "detector"}});
-  faults_asr = reg->get_counter("serve_stage_faults_total", {{"stage", "asr"}});
-  quarantines = reg->get_counter("serve_quarantines_total");
-  reopens = reg->get_counter("serve_reopens_total");
-  backoff_drops = reg->get_counter("serve_backoff_dropped_blocks_total");
+  queue_wait.merge(other.queue_wait);
 }
 
 detection_session::detection_session(std::uint64_t id,
@@ -238,7 +211,7 @@ detection_session::detection_session(std::uint64_t id,
       fault_tolerance_{config.fault_tolerance},
       faults_{config.faults},
       trace_sink_{config.trace_sink},
-      metrics_{config.metrics.get()},
+      cells_{register_cells(config.metrics.get())},
       ring_(config.queue_capacity),
       stats_{config.latency_bins},
       trace_{config.trace_spans},
@@ -253,13 +226,9 @@ detection_session::detection_session(std::uint64_t id,
       pc.decision_window_s = config.stream.window_s;
     }
     // The recognizer-site fault coordinates are (kind, session id,
-    // utterance index); the stage inherits the session's injector —
-    // and the fleet metrics registry for its utterance counters.
+    // utterance index); the stage inherits the session's injector.
     if (pc.faults == nullptr) {
       pc.faults = faults_;
-    }
-    if (pc.metrics == nullptr) {
-      pc.metrics = config.metrics;
     }
     pc.fault_session_id = id_;
     pipeline_.emplace(std::move(pc));
@@ -270,28 +239,26 @@ offer_status detection_session::offer(audio::buffer block) {
   audio::validate(block, "detection_session::offer");
   const clock::time_point now = clock::now();
   const ts_lock lock{mutex_};
-  ++stats_.blocks_offered;
+  count<&session_stats::blocks_offered>();
   if (closed_) {
     // Distinct from `rejected`: a rejected offer succeeds once workers
     // make room, a closed session never accepts again — conflating the
     // two would livelock the producer's retry loop.
-    ++stats_.blocks_rejected;
+    count<&session_stats::blocks_rejected>();
     return offer_status::closed;
   }
   if (state_ == session_state::quarantined) {
     // Same shape as closed: no amount of draining helps, only reopen().
-    ++stats_.blocks_rejected;
+    count<&session_stats::blocks_rejected>();
     return offer_status::quarantined;
   }
   if (count_ == capacity_) {
     switch (policy_) {
       case overflow_policy::shed_newest:
-        ++stats_.blocks_shed;
-        metrics_.blocks_shed.inc();
+        count<&session_stats::blocks_shed>();
         return offer_status::shed;
       case overflow_policy::reject:
-        ++stats_.blocks_rejected;
-        metrics_.blocks_rejected.inc();
+        count<&session_stats::blocks_rejected>();
         return offer_status::rejected;
       case overflow_policy::shed_oldest:
         // Evict the head slot and fall through to enqueue. NOTE: evicting
@@ -300,15 +267,14 @@ offer_status detection_session::offer(audio::buffer block) {
         // exactly what the shed counters exist to expose.
         head_ = (head_ + 1) % capacity_;
         --count_;
-        ++stats_.blocks_shed;
-        metrics_.blocks_shed.inc();
+        count<&session_stats::blocks_shed>();
         break;
     }
   }
   const std::size_t slot = (head_ + count_) % capacity_;
   ring_[slot] = queued_block{std::move(block), now};
   ++count_;
-  ++stats_.blocks_accepted;
+  count<&session_stats::blocks_accepted>();
   return offer_status::accepted;
 }
 
@@ -371,7 +337,7 @@ void detection_session::recover_stages() {
         pipeline_->restore(json::field(chk, "pl"));
       }
       const ts_lock lock{mutex_};
-      ++stats_.snapshot_restores;
+      count<&session_stats::snapshot_restores>();
       return;
     } catch (...) {
       // A corrupt checkpoint must not wedge recovery — and the detector
@@ -402,7 +368,7 @@ void detection_session::maybe_checkpoint(std::uint64_t block_index) {
                                                : json::value{});
   last_good_ = json::to_binary(json::value{std::move(chk)});
   const ts_lock lock{mutex_};
-  ++stats_.stage_snapshots;
+  count<&session_stats::stage_snapshots>();
 }
 
 bool detection_session::reopen() {
@@ -417,8 +383,7 @@ bool detection_session::reopen() {
     }
     state_ = session_state::recovering;
     last_error_.clear();
-    ++stats_.reopens;
-    metrics_.reopens.inc();
+    count<&session_stats::reopens>();
   }
   // A manual reopen grants a fresh retry budget and restarts the backoff
   // ladder at its first rung.
@@ -438,7 +403,7 @@ void detection_session::force_quarantine(const std::string& what) {
     }
     state_ = session_state::quarantined;
     last_error_ = what;
-    ++stats_.quarantines;
+    count<&session_stats::quarantines>();
     // Final flight-recorder span: no stage attribution (the exception
     // escaped process() itself), but the error message rides along.
     // consumed_blocks_ is atomic exactly for this read: the backstop
@@ -452,7 +417,6 @@ void detection_session::force_quarantine(const std::string& what) {
       dumped = true;
     }
   }
-  metrics_.quarantines.inc();
   if (dumped) {
     // Outside mutex_: the sink serializes on its own lock and may do IO.
     trace_sink_->on_quarantine(id_, what, dump);
@@ -462,8 +426,8 @@ void detection_session::force_quarantine(const std::string& what) {
 // Containment: the calling worker holds busy_; an exception just escaped
 // a scoring stage. Quarantine THIS session fail-closed and either
 // auto-reopen (bounded retry + block-counted backoff) or park it.
-void detection_session::contain_fault(std::uint64_t session_stats::* counter,
-                                      const std::string& what) {
+template <auto Counter>
+void detection_session::contain_fault(const std::string& what) {
   // Flush the pipeline fail-closed FIRST: every utterance it still holds
   // resolves as blocked — a faulted stage must never leave an utterance
   // in a state where a later code path could execute it.
@@ -473,13 +437,12 @@ void detection_session::contain_fault(std::uint64_t session_stats::* counter,
   }
   const bool retry = fault_tolerance_.auto_reopen &&
                      reopen_count_ < fault_tolerance_.max_reopens;
-  const obs::trace_stage stage = fault_stage(counter);
   std::vector<obs::span> dump;
   bool dumped = false;
   {
     const ts_lock lock{mutex_};
-    stats_.*counter += 1;
-    ++stats_.quarantines;
+    count<Counter>();
+    count<&session_stats::quarantines>();
     record_outcomes(flushed);
     last_error_ = what;
     // Flight recorder: the fault span carries the FAULTING stage plus
@@ -487,11 +450,11 @@ void detection_session::contain_fault(std::uint64_t session_stats::* counter,
     // ring's final span — the quarantine dump ends with what killed the
     // session, attributed to the stage that threw.
     const std::uint64_t consumed = consumed_blocks_.load();
-    trace_.record({stage, consumed > 0 ? consumed - 1 : 0,
+    trace_.record({fault_stage<Counter>(), consumed > 0 ? consumed - 1 : 0,
                    stats_.audio_s_processed, retry ? 1.0 : 0.0, 0.0, what});
     if (retry) {
       state_ = session_state::recovering;
-      ++stats_.reopens;
+      count<&session_stats::reopens>();
     } else {
       state_ = session_state::quarantined;
     }
@@ -503,21 +466,6 @@ void detection_session::contain_fault(std::uint64_t session_stats::* counter,
       dump = trace_.spans();
       dumped = true;
     }
-  }
-  switch (stage) {
-    case obs::trace_stage::detector:
-      metrics_.faults_detector.inc();
-      break;
-    case obs::trace_stage::asr:
-      metrics_.faults_asr.inc();
-      break;
-    default:
-      metrics_.faults_ingest.inc();
-      break;
-  }
-  metrics_.quarantines.inc();
-  if (retry) {
-    metrics_.reopens.inc();
   }
   if (dumped) {
     trace_sink_->on_quarantine(id_, what, dump);
@@ -568,9 +516,8 @@ std::size_t detection_session::process(std::size_t max_blocks) {
       // Recovering: consume-and-drop until the backoff window passes,
       // then resume scoring with the fresh stages.
       --backoff_remaining_;
-      metrics_.backoff_drops.inc();
       const ts_lock lock{mutex_};
-      ++stats_.blocks_dropped_backoff;
+      count<&session_stats::blocks_dropped_backoff>();
       if (backoff_remaining_ == 0 && state_ == session_state::recovering) {
         state_ = session_state::serving;
       }
@@ -595,9 +542,9 @@ std::size_t detection_session::process(std::size_t max_blocks) {
     // downstream into NaN and the verdict stream into silent garbage —
     // worse than a crash. Treat it as a contained fault instead.
     if (!all_finite(item.block)) {
-      contain_fault(&session_stats::corrupt_blocks,
-                    "corrupt audio block: non-finite sample at block " +
-                        std::to_string(block_index));
+      contain_fault<&session_stats::corrupt_blocks>(
+          "corrupt audio block: non-finite sample at block " +
+          std::to_string(block_index));
       continue;  // recovering (backoff) or parked; loop re-checks
     }
     std::vector<defense::stream_event> events;
@@ -607,57 +554,46 @@ std::size_t detection_session::process(std::size_t max_blocks) {
         throw std::runtime_error{"injected fault: detector throw"};
       }
       events = detector_.feed(item.block);
-    } catch (const std::exception& e) {
-      contain_fault(&session_stats::detector_faults, e.what());
-      continue;
     } catch (...) {
-      contain_fault(&session_stats::detector_faults,
-                    "detector fault: unknown exception");
+      contain_fault<&session_stats::detector_faults>(
+          current_error("detector fault: unknown exception"));
       continue;
     }
     const clock::time_point scored = clock::now();
     // The command stage runs after the detector on the same block, so
-    // its outcomes inherit the accepted-block-order determinism. Its
-    // time is the pipeline's own bill, not the detector's: `service`
-    // stays detector-only and the per-utterance recognizer time lands
-    // in `asr_service`; the end-to-end `latency` covers both.
+    // its outcomes inherit the accepted-block-order determinism.
     std::vector<command_outcome> outcomes;
     if (pipeline_.has_value()) {
       try {
-        outcomes = pipeline_->feed(item.block, events);
-      } catch (const std::exception& e) {
-        // The detector's verdicts for this block are still valid — keep
-        // them — but the command stage is now suspect: contain it. Its
-        // pending utterances flush fail-closed inside contain_fault.
+        pipeline_->feed(item.block, events, outcomes);
+      } catch (...) {
+        // The detector's verdicts for this block and the outcomes
+        // resolved before the throw are still valid — keep them — but
+        // the command stage is now suspect: contain it. Its pending
+        // utterances flush fail-closed inside contain_fault.
+        const std::string what =
+            current_error("recognizer fault: unknown exception");
         {
           const ts_lock lock{mutex_};
           record_verdicts(events);
+          record_outcomes(outcomes);
         }
-        contain_fault(&session_stats::recognizer_faults, e.what());
-        continue;
-      } catch (...) {
-        contain_fault(&session_stats::recognizer_faults,
-                      "recognizer fault: unknown exception");
+        contain_fault<&session_stats::recognizer_faults>(what);
         continue;
       }
     }
-    const clock::time_point piped = clock::now();
     const double queue_wait_s =
         std::chrono::duration<double>(claimed - item.enqueued).count();
     const double service_s =
         std::chrono::duration<double>(scored - claimed).count();
-    const double latency_s =
-        std::chrono::duration<double>(piped - item.enqueued).count();
     {
       const ts_lock lock{mutex_};
       record_verdicts(events);
-      ++stats_.blocks_processed;
-      stats_.samples_processed += samples;
-      stats_.audio_s_processed += static_cast<double>(samples) / rate;
-      metrics_.blocks_processed.inc();
-      stats_.latency.record(latency_s);
+      count<&session_stats::blocks_processed>();
+      count<&session_stats::samples_processed>(samples);
+      count<&session_stats::audio_s_processed>(static_cast<double>(samples) /
+                                               rate);
       stats_.queue_wait.record(queue_wait_s);
-      stats_.service.record(service_s);
       if (trace_.enabled()) {
         // Ingest + detector spans of this block, keyed by its accepted-
         // order index; t_s is the stream position AFTER the block. Only
@@ -705,27 +641,20 @@ std::size_t detection_session::process(std::size_t max_blocks) {
   std::vector<defense::stream_event> tail;
   try {
     tail = detector_.finish();
-  } catch (const std::exception& e) {
-    contain_fault(&session_stats::detector_faults, e.what());
-    return processed;
   } catch (...) {
-    contain_fault(&session_stats::detector_faults,
-                  "detector fault: unknown exception in finish");
+    contain_fault<&session_stats::detector_faults>(
+        current_error("detector fault: unknown exception in finish"));
     return processed;
   }
   std::vector<command_outcome> tail_outcomes;
-  bool pipeline_ok = true;
-  std::string pipeline_error;
+  std::optional<std::string> pipeline_error;
   if (pipeline_.has_value()) {
     try {
       // The flush tail can still veto (or contain) the final utterances.
-      tail_outcomes = pipeline_->finish(tail);
-    } catch (const std::exception& e) {
-      pipeline_ok = false;
-      pipeline_error = e.what();
+      pipeline_->finish(tail, tail_outcomes);
     } catch (...) {
-      pipeline_ok = false;
-      pipeline_error = "recognizer fault: unknown exception in finish";
+      pipeline_error =
+          current_error("recognizer fault: unknown exception in finish");
     }
   }
   {
@@ -733,14 +662,13 @@ std::size_t detection_session::process(std::size_t max_blocks) {
     record_verdicts(tail);
     record_outcomes(tail_outcomes);
   }
-  if (!pipeline_ok) {
-    contain_fault(&session_stats::recognizer_faults, pipeline_error);
+  if (pipeline_error.has_value()) {
+    contain_fault<&session_stats::recognizer_faults>(*pipeline_error);
   }
   return processed;
 }
 
-// Appends detector verdicts and counts them, in the session stats and
-// the fleet registry alike. Caller holds mutex_.
+// Appends detector verdicts and counts them. Caller holds mutex_.
 void detection_session::record_verdicts(
     const std::vector<defense::stream_event>& events) {
   verdicts_.insert(verdicts_.end(), events.begin(), events.end());
@@ -748,14 +676,12 @@ void detection_session::record_verdicts(
   for (const defense::stream_event& e : events) {
     attacks += e.is_attack ? 1 : 0;
   }
-  stats_.events += events.size();
-  stats_.attack_events += attacks;
-  metrics_.events.inc(events.size());
-  metrics_.attack_events.inc(attacks);
+  count<&session_stats::events>(events.size());
+  count<&session_stats::attack_events>(attacks);
 }
 
-// Appends pipeline outcomes and folds them into the counters and the
-// ASR latency histogram. Caller holds mutex_.
+// Appends pipeline outcomes and counts each by kind and fault: the only
+// place an outcome is counted. Caller holds mutex_.
 void detection_session::record_outcomes(
     const std::vector<command_outcome>& outcomes) {
   for (const command_outcome& o : outcomes) {
@@ -763,39 +689,36 @@ void detection_session::record_outcomes(
     // outcome in the session's resolved-utterance order (deterministic,
     // like everything in the outcome stream).
     const std::uint64_t uidx = stats_.utterances;
-    ++stats_.utterances;
+    count<&session_stats::utterances>();
     switch (o.kind) {
       case command_outcome::kind_t::blocked:
-        ++stats_.commands_blocked;
+        count<&session_stats::commands_blocked>();
         break;
       case command_outcome::kind_t::executed:
-        ++stats_.commands_executed;
+        count<&session_stats::commands_executed>();
         break;
       case command_outcome::kind_t::rejected_by_asr:
-        ++stats_.commands_rejected;
+        count<&session_stats::commands_rejected>();
         break;
       case command_outcome::kind_t::ignored:
-        ++stats_.commands_ignored;
+        count<&session_stats::commands_ignored>();
         break;
     }
     switch (o.fault) {
       case command_outcome::fault_t::none:
         break;
       case command_outcome::fault_t::deadline_overrun:
-        ++stats_.asr_deadline_overruns;
-        ++stats_.utterances_failed_closed;
+        count<&session_stats::asr_deadline_overruns>();
         break;
       case command_outcome::fault_t::degraded_shed:
-        ++stats_.utterances_shed_degraded;
-        ++stats_.utterances_failed_closed;
+        count<&session_stats::utterances_shed_degraded>();
         break;
-      case command_outcome::fault_t::recognizer_throw:
       case command_outcome::fault_t::stage_fault:
-        ++stats_.utterances_failed_closed;
+        count<&session_stats::utterances_stage_fault>();
         break;
     }
-    if (o.kind != command_outcome::kind_t::blocked) {
-      stats_.asr_service.record(o.asr_s);
+    if (o.fault != command_outcome::fault_t::none) {
+      count<&session_stats::utterances_failed_closed>();
     }
     if (trace_.enabled()) {
       // ASR span only when the recognizer actually ran (blocked
@@ -844,7 +767,7 @@ session_stats detection_session::stats() const {
 // and the lock-guarded streams/counters.
 json::value detection_session::build_snapshot() const {
   json::object o;
-  o.emplace_back("v", json::value{1.0});
+  o.emplace_back("v", json::value{2.0});
   o.emplace_back("cl", json::value{closed_});
   o.emplace_back("fi", json::value{finished_});
   o.emplace_back("st", json::value{static_cast<double>(state_)});
@@ -854,10 +777,7 @@ json::value detection_session::build_snapshot() const {
   o.emplace_back("rc", json::value{static_cast<double>(reopen_count_)});
   o.emplace_back("bo", json::value{static_cast<double>(backoff_remaining_)});
   o.emplace_back("ctr", encode_counters(stats_));
-  o.emplace_back("lh", stats_.latency.snapshot());
   o.emplace_back("qh", stats_.queue_wait.snapshot());
-  o.emplace_back("sh", stats_.service.snapshot());
-  o.emplace_back("ah", stats_.asr_service.snapshot());
   o.emplace_back("ve", encode_verdicts(verdicts_));
   o.emplace_back("oc", encode_outcomes(outcomes_));
   o.emplace_back("det", detector_.snapshot());
@@ -895,7 +815,7 @@ void detection_session::restore(const json::value& snap) {
   const ts_lock lock{mutex_};
   expects(count_ == 0 && stats_.blocks_offered == 0,
           "detection_session::restore: session must be freshly constructed");
-  expects(json::u64(snap, "v") == 1,
+  expects(json::u64(snap, "v") == 2,
           "session snapshot: unknown schema version");
   const json::value& pl = json::field(snap, "pl");
   expects(pl.is_null() != pipeline_.has_value(),
@@ -908,10 +828,7 @@ void detection_session::restore(const json::value& snap) {
   reopen_count_ = static_cast<std::size_t>(json::u64(snap, "rc"));
   backoff_remaining_ = json::u64(snap, "bo");
   decode_counters(json::field(snap, "ctr"), stats_);
-  stats_.latency.restore(json::field(snap, "lh"));
   stats_.queue_wait.restore(json::field(snap, "qh"));
-  stats_.service.restore(json::field(snap, "sh"));
-  stats_.asr_service.restore(json::field(snap, "ah"));
   verdicts_ = decode_verdicts(json::field(snap, "ve"));
   outcomes_ = decode_outcomes(json::field(snap, "oc"));
   detector_.restore(json::field(snap, "det"));
@@ -929,10 +846,7 @@ session_stats snapshot_stats(const json::value& snap,
                              const histogram_config& bins) {
   session_stats st{bins};
   decode_counters(json::field(snap, "ctr"), st);
-  st.latency.restore(json::field(snap, "lh"));
   st.queue_wait.restore(json::field(snap, "qh"));
-  st.service.restore(json::field(snap, "sh"));
-  st.asr_service.restore(json::field(snap, "ah"));
   return st;
 }
 

@@ -20,12 +20,16 @@
 // worker appends to them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "audio/buffer.h"
@@ -110,9 +114,9 @@ struct serve_config {
   // Blocks a worker processes per claim of one session (its scoring
   // batch). 0 = drain the session's queue completely per claim.
   std::size_t max_blocks_per_pass = 0;
-  // Binning of every latency histogram (total, queue-wait, service).
-  // Per-session histograms and the aggregate() fold all use this, so
-  // merges always see matching configs.
+  // Binning of the latency histograms: each session's queue_wait and
+  // the manager's rehydrate latency. The aggregate() fold uses it too,
+  // so merges always see matching configs.
   histogram_config latency_bins;
   // Residency bound of the owning session_manager (per manager — each
   // shard of a sharded front gets its own). When more than this many
@@ -129,8 +133,9 @@ struct serve_config {
   std::shared_ptr<const fault_injector> faults;
   // ---- Observability -------------------------------------------------
   // Fleet-wide metrics registry, shared by every session/manager/shard
-  // of the front; null = no metrics (handles degrade to no-ops). The
-  // per-session pipeline inherits it for the utterance counters.
+  // of the front; null = no metrics (handles degrade to no-ops). Each
+  // session registers one cell per session_counters row that names a
+  // series.
   std::shared_ptr<obs::metrics_registry> metrics;
   // Flight recorder: how many stage spans (ingest -> detector -> ASR ->
   // intent -> outcome) each session retains in its bounded trace ring.
@@ -156,14 +161,18 @@ enum class offer_status {
 
 struct session_stats {
   session_stats() = default;
-  explicit session_stats(const histogram_config& bins)
-      : latency{bins}, queue_wait{bins}, service{bins}, asr_service{bins} {}
+  explicit session_stats(const histogram_config& bins) : queue_wait{bins} {}
 
+  // Every counter below has one row in session_counters (after this
+  // struct), which is where the snapshot codec, merge(), the registry
+  // cells and telemetry_sample() find it.
   std::uint64_t blocks_offered = 0;
   std::uint64_t blocks_accepted = 0;
   std::uint64_t blocks_processed = 0;
   std::uint64_t blocks_shed = 0;      // dropped or evicted at the queue
   std::uint64_t blocks_rejected = 0;  // bounced back to the producer
+                                      // (reject policy, closed or
+                                      // quarantined session)
   std::uint64_t samples_processed = 0;
   double audio_s_processed = 0.0;
   std::uint64_t events = 0;         // verdicts emitted
@@ -174,20 +183,6 @@ struct session_stats {
   std::uint64_t commands_executed = 0;   // recognized + intent mapped
   std::uint64_t commands_rejected = 0;   // recognizer rejected
   std::uint64_t commands_ignored = 0;    // recognized, intent engine idle
-  // Per-block latency decomposition, seconds:
-  //   latency    = offer() to scored (end to end)
-  //   queue_wait = offer() to claimed by a worker
-  //   service    = claimed to scored (detector time)
-  // latency ≈ queue_wait + service per block; the histograms bin each
-  // part independently so paced replays can tell congestion (queue
-  // growth) from slow scoring.
-  log_histogram latency;
-  log_histogram queue_wait;
-  log_histogram service;
-  // Recognizer time per resolved utterance (the ASR stage's own service
-  // clock, split from the detector's `service`). One sample per outcome
-  // that reached the recognizer — blocked utterances never run ASR.
-  log_histogram asr_service;
   // ---- Health / fault counters (all zero on a healthy session) -------
   std::uint64_t detector_faults = 0;    // contained detector-stage crashes
   std::uint64_t recognizer_faults = 0;  // contained ASR-stage crashes
@@ -196,6 +191,8 @@ struct session_stats {
   std::uint64_t asr_deadline_overruns = 0;  // modeled-cost budget blown
   std::uint64_t utterances_shed_degraded = 0;  // blocked in detector-only
                                                // mode (ASR stage shed)
+  std::uint64_t utterances_stage_fault = 0;    // flushed blocked by a
+                                               // contained stage crash
   std::uint64_t utterances_failed_closed = 0;  // blocked by ANY fault
                                                // path (never executed)
   std::uint64_t quarantines = 0;        // containment events
@@ -206,12 +203,108 @@ struct session_stats {
   std::uint64_t stage_snapshots = 0;    // crash-recovery checkpoints taken
   std::uint64_t snapshot_restores = 0;  // recoveries from a checkpoint
                                         // (instead of a cold stage reset)
+  // Seconds from offer() to the block's claim by a worker, one sample
+  // per processed block: the serving stack's congestion signal.
+  log_histogram queue_wait;
 
-  // Folds another stats block into this one: counters sum, histograms
-  // merge (the binning configs must match). The fleet/shard aggregation
-  // primitive.
+  // Folds another stats block into this one: counters sum, the
+  // histogram merges (the binning configs must match). The fleet/shard
+  // aggregation primitive.
   void merge(const session_stats& other);
 };
+
+// ---- The counter ledger -------------------------------------------------
+// One row per session_stats counter, declared once. The snapshot codec,
+// merge(), the fleet registry cells and telemetry_sample() all loop over
+// this table, and detection_session bumps a field and its registry cell
+// in one call, so the registry mirrors session_stats by construction.
+// Adding a counter is a field above, a row here, and its bump site.
+struct counter_def {
+  const char* key;  // the field's name, also its telemetry_sample() key
+  std::variant<std::uint64_t session_stats::*, double session_stats::*>
+      field;
+  // True when the count is a pure function of the accepted-block order
+  // (bit-identical at any worker count). Offer-side counts depend on
+  // drain timing, and their registry cells stay out of the
+  // deterministic fingerprint.
+  bool deterministic = true;
+  // Fleet registry series mirroring the field, with at most one label;
+  // nullptr = no registry cell.
+  const char* series = nullptr;
+  const char* label_key = nullptr;
+  const char* label_value = nullptr;
+};
+
+inline constexpr counter_def session_counters[] = {
+    {"blocks_offered", &session_stats::blocks_offered, false},
+    {"blocks_accepted", &session_stats::blocks_accepted, false},
+    {"blocks_processed", &session_stats::blocks_processed, true,
+     "serve_blocks_processed_total"},
+    {"blocks_shed", &session_stats::blocks_shed, false,
+     "serve_blocks_shed_total"},
+    {"blocks_rejected", &session_stats::blocks_rejected, false,
+     "serve_blocks_rejected_total"},
+    {"samples_processed", &session_stats::samples_processed},
+    {"audio_s_processed", &session_stats::audio_s_processed},
+    {"events", &session_stats::events, true, "serve_verdicts_total"},
+    {"attack_events", &session_stats::attack_events, true,
+     "serve_attack_verdicts_total"},
+    {"utterances", &session_stats::utterances},
+    {"commands_blocked", &session_stats::commands_blocked, true,
+     "serve_pipeline_outcomes_total", "kind", "blocked"},
+    {"commands_executed", &session_stats::commands_executed, true,
+     "serve_pipeline_outcomes_total", "kind", "executed"},
+    {"commands_rejected", &session_stats::commands_rejected, true,
+     "serve_pipeline_outcomes_total", "kind", "rejected_by_asr"},
+    {"commands_ignored", &session_stats::commands_ignored, true,
+     "serve_pipeline_outcomes_total", "kind", "ignored"},
+    {"detector_faults", &session_stats::detector_faults, true,
+     "serve_stage_faults_total", "stage", "detector"},
+    {"recognizer_faults", &session_stats::recognizer_faults, true,
+     "serve_stage_faults_total", "stage", "asr"},
+    {"corrupt_blocks", &session_stats::corrupt_blocks, true,
+     "serve_stage_faults_total", "stage", "ingest"},
+    {"asr_deadline_overruns", &session_stats::asr_deadline_overruns, true,
+     "serve_pipeline_fault_blocks_total", "fault", "deadline_overrun"},
+    {"utterances_shed_degraded", &session_stats::utterances_shed_degraded,
+     true, "serve_pipeline_fault_blocks_total", "fault", "degraded_shed"},
+    {"utterances_stage_fault", &session_stats::utterances_stage_fault, true,
+     "serve_pipeline_fault_blocks_total", "fault", "stage_fault"},
+    {"utterances_failed_closed", &session_stats::utterances_failed_closed},
+    {"quarantines", &session_stats::quarantines, true,
+     "serve_quarantines_total"},
+    {"reopens", &session_stats::reopens, true, "serve_reopens_total"},
+    {"blocks_dropped_backoff", &session_stats::blocks_dropped_backoff, true,
+     "serve_backoff_dropped_blocks_total"},
+    {"stage_snapshots", &session_stats::stage_snapshots},
+    {"snapshot_restores", &session_stats::snapshot_restores},
+};
+
+// One fleet registry handle per ledger row, in session_counters order.
+using counter_cells = std::array<obs::counter, std::size(session_counters)>;
+
+// The value of one ledger row in `st`.
+inline double counter_value(const session_stats& st, const counter_def& c) {
+  return std::visit([&st](auto f) { return static_cast<double>(st.*f); },
+                    c.field);
+}
+
+// The ledger row that declares `field`. The bump sites evaluate it at
+// compile time, so a field without a row does not compile.
+template <typename T>
+constexpr std::size_t counter_index(T session_stats::* field) {
+  std::size_t i = 0;
+  for (const counter_def& c : session_counters) {
+    // holds_alternative + get, not get_if: GCC's UBSan build rejects the
+    // null check inside get_if as a constant expression.
+    if (std::holds_alternative<T session_stats::*>(c.field) &&
+        std::get<T session_stats::*>(c.field) == field) {
+      return i;
+    }
+    ++i;
+  }
+  throw std::logic_error{"counter_index: field has no ledger row"};
+}
 
 class detection_session {
  public:
@@ -286,7 +379,7 @@ class detection_session {
   session_stats stats() const;
 
   // ---- Eviction snapshots ---------------------------------------------
-  // Serializes the COMPLETE session — counters, histograms, verdict and
+  // Serializes the COMPLETE session — counters, histogram, verdict and
   // outcome streams, fault-ladder position, detector/pipeline stream
   // state, and any crash-recovery checkpoint — so the manager can evict
   // the session and rebuild it later with restore(), bit-identically:
@@ -311,18 +404,29 @@ class detection_session {
 
   // Pops the oldest queued block; false when the queue is empty.
   bool pop(queued_block& out) IVC_EXCLUDES(mutex_);
-  // Folds detector verdicts into verdicts_/stats_/the registry.
+  // Adds `n` to one ledger field and to its registry cell in one step.
+  template <auto Field, typename T = std::uint64_t>
+  void count(T n = 1) IVC_REQUIRES(mutex_) {
+    constexpr std::size_t row = counter_index(Field);
+    stats_.*Field += n;
+    if constexpr (std::is_integral_v<T>) {
+      cells_[row].inc(n);
+    }
+  }
+  // Folds detector verdicts into verdicts_ and the ledger.
   void record_verdicts(const std::vector<defense::stream_event>& events)
       IVC_REQUIRES(mutex_);
-  // Folds pipeline outcomes into outcomes_/stats_.
+  // Folds pipeline outcomes into outcomes_ and the ledger: the only
+  // place an outcome is counted.
   void record_outcomes(const std::vector<command_outcome>& outcomes)
       IVC_REQUIRES(mutex_);
   // Containment: called by process() (holding busy_) when an exception
   // escapes a scoring stage. Flushes the pipeline fail-closed, counts
-  // the fault against `counter`, then either auto-reopens (bounded
-  // retry, block-counted backoff) or parks the session quarantined.
-  void contain_fault(std::uint64_t session_stats::* counter,
-                     const std::string& what) IVC_REQUIRES(busy_)
+  // the fault against the ledger field `Counter`, then either
+  // auto-reopens (bounded retry, block-counted backoff) or parks the
+  // session quarantined.
+  template <auto Counter>
+  void contain_fault(const std::string& what) IVC_REQUIRES(busy_)
       IVC_EXCLUDES(mutex_);
   // Resets detector/pipeline to fresh-stream state.
   void reset_stages() IVC_REQUIRES(busy_);
@@ -338,35 +442,15 @@ class detection_session {
   // the worker-owned stage state and the lock-guarded streams.
   json::value build_snapshot() const IVC_REQUIRES(busy_, mutex_);
 
-  // Fleet-shared metric handles of one session. All hot-path bumps are
-  // relaxed atomics on registry cells shared across the fleet (no
-  // per-session cardinality); a null registry leaves every handle a
-  // no-op. The set mirrors the deterministic counter families of
-  // session_stats — scheduling-dependent counts (sheds, rejects) are
-  // registered non-deterministic so the telemetry fingerprint stays
-  // bit-identical across worker counts.
-  struct metric_handles {
-    explicit metric_handles(obs::metrics_registry* reg);
-    obs::counter blocks_processed;
-    obs::counter blocks_shed;      // non-deterministic: drain timing
-    obs::counter blocks_rejected;  // non-deterministic: drain timing
-    obs::counter events;
-    obs::counter attack_events;
-    obs::counter faults_ingest;    // corrupt blocks, by stage label
-    obs::counter faults_detector;
-    obs::counter faults_asr;
-    obs::counter quarantines;
-    obs::counter reopens;
-    obs::counter backoff_drops;
-  };
-
   const std::uint64_t id_;
   const std::size_t capacity_;
   const overflow_policy policy_;
   const fault_tolerance_config fault_tolerance_;
   const std::shared_ptr<const fault_injector> faults_;
   const std::shared_ptr<obs::trace_sink> trace_sink_;
-  const metric_handles metrics_;
+  // Rows without a series, and every row without a registry, hold a
+  // no-op handle.
+  const counter_cells cells_;
 
   // Every piece of stream-visible state is a declared capability target:
   // clang -Wthread-safety proves each access below happens under mutex_.

@@ -11,7 +11,8 @@ void put_u64(json::object& o, const char* key, std::uint64_t v) {
   o.emplace_back(key, json::value{static_cast<double>(v)});
 }
 
-// The shared middle of both probes: fleet totals + eviction layer.
+// The shared middle of both probes: fleet totals, the eviction layer,
+// the health roll-up, then every session_counters row under its key.
 void fill_fleet_fields(json::object& o, const serve_totals& totals,
                        const eviction_stats& evic) {
   put_u64(o, "sessions", totals.num_sessions);
@@ -19,30 +20,12 @@ void fill_fleet_fields(json::object& o, const serve_totals& totals,
   put_u64(o, "evictions", evic.evictions);
   put_u64(o, "rehydrations", evic.rehydrations);
   put_u64(o, "frozen_bytes", evic.frozen_bytes);
-  const session_stats& st = totals.stats;
-  put_u64(o, "blocks_offered", st.blocks_offered);
-  put_u64(o, "blocks_processed", st.blocks_processed);
-  put_u64(o, "blocks_shed", st.blocks_shed);
-  put_u64(o, "blocks_rejected", st.blocks_rejected);
-  put(o, "audio_s", st.audio_s_processed);
-  put_u64(o, "events", st.events);
-  put_u64(o, "attack_events", st.attack_events);
-  put_u64(o, "utterances", st.utterances);
-  put_u64(o, "commands_executed", st.commands_executed);
-  put_u64(o, "commands_blocked", st.commands_blocked);
   put_u64(o, "degraded", totals.sessions_degraded);
   put_u64(o, "recovering", totals.sessions_recovering);
   put_u64(o, "quarantined", totals.sessions_quarantined);
-  put_u64(o, "quarantines", st.quarantines);
-  put_u64(o, "reopens", st.reopens);
-  // Stage-latency quantiles in milliseconds, one pair per stage so a
-  // time-series can tell congestion (queue growth) from slow scoring.
-  put(o, "queue_p50_ms", st.queue_wait.quantile(0.50) * 1e3);
-  put(o, "queue_p95_ms", st.queue_wait.quantile(0.95) * 1e3);
-  put(o, "service_p50_ms", st.service.quantile(0.50) * 1e3);
-  put(o, "service_p95_ms", st.service.quantile(0.95) * 1e3);
-  put(o, "asr_p50_ms", st.asr_service.quantile(0.50) * 1e3);
-  put(o, "asr_p95_ms", st.asr_service.quantile(0.95) * 1e3);
+  for (const counter_def& c : session_counters) {
+    put(o, c.key, counter_value(totals.stats, c));
+  }
 }
 
 }  // namespace

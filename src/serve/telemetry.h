@@ -16,8 +16,9 @@
 
 namespace ivc::serve {
 
-// One fleet sample: sessions / resident / eviction counters / summed
-// session counters / health roll-up / latency-stage quantiles (ms).
+// One fleet sample: sessions / resident / eviction counters / health
+// roll-up / every session_counters row summed over the fleet, keyed by
+// its field name.
 json::value telemetry_sample(const session_manager& manager);
 
 // Same fields fleet-wide, plus the shard spread (num shards, session

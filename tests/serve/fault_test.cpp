@@ -20,8 +20,10 @@
 
 #include "audio/buffer.h"
 #include "audio/ops.h"
+#include "common/json_min.h"
 #include "common/rng.h"
 #include "defense/classifier.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "serve/session_manager.h"
 #include "sim/scenario.h"
@@ -273,6 +275,61 @@ TEST(fault_containment, throwing_recognizer_quarantines_only_its_session) {
     expect_same_outcomes(clean.outcomes[s], faulted.outcomes[s],
                          "outcomes session " + std::to_string(s));
   }
+}
+
+// An outcome the pipeline resolved before the recognizer threw on a
+// LATER utterance of the same call is still part of the stream: it is
+// recorded, counted in the session stats and in the registry, and only
+// the throwing utterance flushes fail-closed. The long decision window
+// defers both utterances to the close() flush, so one finish() call
+// resolves the first and throws on the second.
+TEST(fault_containment, outcome_resolved_before_a_recognizer_throw_survives) {
+  struct session_run {
+    std::vector<command_outcome> outcomes;
+    session_stats stats;
+    double registry_outcomes = 0.0;  // serve_pipeline_outcomes_total
+  };
+  const auto run = [](bool faulted) {
+    serve_config cfg = fleet_config();
+    cfg.pipeline->decision_window_s = 3.0;
+    cfg.fault_tolerance.auto_reopen = false;
+    cfg.metrics = std::make_shared<obs::metrics_registry>();
+    if (faulted) {
+      fault_config fc;
+      fc.schedule.push_back({fault_kind::recognizer_throw, /*session=*/0,
+                             /*index=*/1});
+      cfg.faults = std::make_shared<fault_injector>(fc);
+    }
+    session_manager manager{tiny_detector(), cfg};
+    const std::uint64_t sid = manager.open_session();
+    manager.offer(sid, command_stream(5));
+    manager.finish();
+    session_run r{manager.outcomes(sid), manager.stats(sid)};
+    const json::value counters = cfg.metrics->counters_snapshot();
+    for (const auto& [key, value] : counters.members()) {
+      if (key.rfind("serve_pipeline_outcomes_total|", 0) == 0) {
+        r.registry_outcomes += value.number();
+      }
+    }
+    return r;
+  };
+  const session_run clean = run(false);
+  ASSERT_EQ(clean.outcomes.size(), 2u);
+  ASSERT_EQ(clean.outcomes[0].kind, command_outcome::kind_t::executed);
+
+  const session_run faulted = run(true);
+  ASSERT_EQ(faulted.outcomes.size(), 2u);
+  expect_same_outcomes({clean.outcomes[0]}, {faulted.outcomes[0]},
+                       "utterance resolved before the throw");
+  EXPECT_EQ(faulted.outcomes[1].kind, command_outcome::kind_t::blocked);
+  EXPECT_EQ(faulted.outcomes[1].fault,
+            command_outcome::fault_t::stage_fault);
+  EXPECT_EQ(faulted.stats.recognizer_faults, 1u);
+  EXPECT_EQ(faulted.stats.utterances, 2u);
+  EXPECT_EQ(faulted.stats.commands_executed, 1u);
+  EXPECT_EQ(faulted.stats.utterances_failed_closed, 1u);
+  EXPECT_EQ(faulted.registry_outcomes,
+            static_cast<double>(faulted.stats.utterances));
 }
 
 TEST(fault_containment, detector_fault_auto_reopens_with_backoff) {

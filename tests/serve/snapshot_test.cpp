@@ -589,8 +589,9 @@ TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
   EXPECT_EQ(frozen_st.blocks_processed, before_st.blocks_processed);
   EXPECT_EQ(frozen_st.events, before_st.events);
   EXPECT_EQ(frozen_st.utterances, before_st.utterances);
-  EXPECT_EQ(frozen_st.latency.count(), before_st.latency.count());
-  EXPECT_EQ(frozen_st.latency.quantile(0.5), before_st.latency.quantile(0.5));
+  EXPECT_EQ(frozen_st.queue_wait.count(), before_st.queue_wait.count());
+  EXPECT_EQ(frozen_st.queue_wait.quantile(0.5),
+            before_st.queue_wait.quantile(0.5));
   const serve_totals totals = manager.aggregate();
   EXPECT_EQ(totals.stats.blocks_processed, before_st.blocks_processed);
   EXPECT_FALSE(manager.resident(sid));

@@ -160,11 +160,39 @@ TEST(telemetry_determinism, fingerprints_identical_across_worker_counts) {
   for (const std::size_t workers : {2u, 4u, 8u}) {
     const telemetry_run run = run_fleet(streams, cfg, workers);
     EXPECT_EQ(reference.fingerprint, run.fingerprint) << "w=" << workers;
+    for (const counter_def& c : session_counters) {
+      if (c.deterministic) {
+        EXPECT_EQ(counter_value(reference.totals.stats, c),
+                  counter_value(run.totals.stats, c))
+            << "w=" << workers << " " << c.key;
+      }
+    }
     for (std::size_t s = 0; s < streams.size(); ++s) {
       EXPECT_EQ(reference.traces[s], run.traces[s])
           << "w=" << workers << " session " << s;
     }
   }
+}
+
+// The registry cell a ledger row names, read from the full export (the
+// deterministic subset would miss the shed/reject cells); -1 = absent.
+double registry_value(const obs::metrics_registry& reg, const counter_def& c) {
+  const json::value snap = reg.snapshot();
+  for (const json::value& e : snap.find("counters")->items()) {
+    if (e.find("name")->string() != c.series) {
+      continue;
+    }
+    const json::object& labels = e.find("labels")->members();
+    const bool match =
+        c.label_key == nullptr
+            ? labels.empty()
+            : labels.size() == 1 && labels[0].first == c.label_key &&
+                  labels[0].second.string() == c.label_value;
+    if (match) {
+      return e.find("value")->number();
+    }
+  }
+  return -1.0;
 }
 
 TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
@@ -174,6 +202,11 @@ TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
   }
   serve_config cfg = fleet_config();
   cfg.metrics = std::make_shared<obs::metrics_registry>();
+  cfg.fault_tolerance.backoff_blocks = 2;
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::recognizer_throw, /*session=*/0,
+                         /*index=*/0});
+  cfg.faults = std::make_shared<fault_injector>(fc);
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session();
@@ -187,22 +220,38 @@ TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
     }
   }
   manager.finish();
+  // finish() closed every session: these offers bounce as `closed`.
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    ASSERT_EQ(manager.offer(s, cut(streams[s], 0, block)),
+              offer_status::closed);
+  }
   const serve_totals totals = manager.aggregate();
-  const json::value counters = cfg.metrics->counters_snapshot();
-  const auto counter_value = [&](const std::string& key) {
-    const json::value* v = counters.find(key);
-    return v == nullptr ? -1.0 : v->number();
-  };
-  // One source of truth, two export paths: the registry's counters must
-  // agree with the per-session stats the aggregate sums.
-  EXPECT_EQ(counter_value("serve_blocks_processed_total"),
-            static_cast<double>(totals.stats.blocks_processed));
-  EXPECT_EQ(counter_value("serve_verdicts_total"),
-            static_cast<double>(totals.stats.events));
-  EXPECT_EQ(counter_value("serve_pipeline_outcomes_total|kind=executed"),
-            static_cast<double>(totals.stats.commands_executed));
-  EXPECT_EQ(counter_value("serve_pipeline_outcomes_total|kind=blocked"),
-            static_cast<double>(totals.stats.commands_blocked));
+  // The run must exercise the offer, fault and outcome rows it checks.
+  ASSERT_EQ(totals.stats.blocks_rejected, streams.size());
+  ASSERT_EQ(totals.stats.recognizer_faults, 1u);
+  ASSERT_GT(totals.stats.utterances_stage_fault, 0u);
+  ASSERT_GT(totals.stats.blocks_dropped_backoff, 0u);
+  ASSERT_GT(totals.stats.commands_executed, 0u);
+
+  // One ledger, two export paths: every registry cell equals the stats
+  // row it mirrors, and sits on the fingerprint side its row declares.
+  const json::value fingerprint = cfg.metrics->counters_snapshot();
+  std::size_t mirrored = 0;
+  for (const counter_def& c : session_counters) {
+    if (c.series == nullptr) {
+      continue;
+    }
+    ++mirrored;
+    EXPECT_EQ(registry_value(*cfg.metrics, c),
+              counter_value(totals.stats, c))
+        << c.key;
+    std::string key = c.series;
+    if (c.label_key != nullptr) {
+      key += std::string{"|"} + c.label_key + "=" + c.label_value;
+    }
+    EXPECT_EQ(fingerprint.find(key) != nullptr, c.deterministic) << c.key;
+  }
+  EXPECT_GT(mirrored, 0u);
 }
 
 // ---- the flight recorder ---------------------------------------------
@@ -468,7 +517,10 @@ TEST(fleet_sampler, appends_probe_samples_as_jsonl) {
     last_t = v.find("t_s")->number();
     ASSERT_NE(v.find("sessions"), nullptr);
     EXPECT_EQ(v.find("sessions")->number(), 3.0);
-    ASSERT_NE(v.find("blocks_processed"), nullptr);
+    // Every ledger row is sampled under its field name.
+    for (const counter_def& c : session_counters) {
+      ASSERT_NE(v.find(c.key), nullptr) << c.key;
+    }
     last_line = line;
     ++lines;
   }
