@@ -43,8 +43,8 @@
 // `--shard` switches to the sharded-front protocol (`serve-shard-v1`
 // run-log signature, default JSON BENCH_serve_shard.json), in two
 // phases. Phase A is the identity matrix: a small e2e fleet runs
-// through serve::shard_manager at 1/2/4 shards × worker counts ×
-// eviction on/off × shard_kill fault load, and
+// through a sharded serve::session_manager at 1/2/4 shards × worker
+// counts × eviction on/off × shard_kill fault load, and
 // every variant's per-session verdict+outcome streams must be
 // bit-identical to the 1-shard/1-worker/no-eviction reference (exit 1
 // on mismatch; eviction/kill variants must actually evict). Phase B is
@@ -113,7 +113,6 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "serve/session_manager.h"
-#include "serve/shard.h"
 #include "serve/telemetry.h"
 #include "sim/corpus.h"
 #include "sim/scenario.h"
@@ -1079,7 +1078,7 @@ struct shard_run_result {
 };
 
 // Phase-A runner: the e2e fleet (per-session pipeline overrides, like
-// run_e2e) through a shard_manager front. Every knob of the identity
+// run_e2e) through a sharded session_manager. Every knob of the identity
 // matrix is a parameter: shard count, per-shard workers, per-shard
 // residency bound, fault injector (shard_kill).
 shard_run_result run_sharded(
@@ -1093,7 +1092,7 @@ shard_run_result run_sharded(
   cfg.policy = ivc::serve::overflow_policy::reject;
   cfg.max_resident_sessions = max_resident;
   cfg.faults = faults;
-  ivc::serve::shard_manager front{trained_detector_cache(), cfg, shards};
+  ivc::serve::session_manager front{trained_detector_cache(), cfg, shards};
   for (std::size_t s = 0; s < num_sessions; ++s) {
     ivc::serve::serve_config per_session = cfg;
     ivc::serve::pipeline_config pipeline;
@@ -1337,8 +1336,8 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   scale_cfg.queue_capacity = 64;
   scale_cfg.policy = serve::overflow_policy::reject;
   scale_cfg.max_resident_sessions = bound_per_shard;
-  serve::shard_manager front{trained_detector_cache(), scale_cfg,
-                             scale_shards};
+  serve::session_manager front{trained_detector_cache(), scale_cfg,
+                               scale_shards};
 
   for (std::size_t s = 0; s < scale_sessions; ++s) {
     front.open_session();
@@ -1474,7 +1473,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   const auto hash_run = [&](std::size_t bound) {
     serve::serve_config cfg = scale_cfg;
     cfg.max_resident_sessions = bound;
-    serve::shard_manager sub{trained_detector_cache(), cfg, scale_shards};
+    serve::session_manager sub{trained_detector_cache(), cfg, scale_shards};
     for (std::size_t s = 0; s < hash_sessions; ++s) {
       sub.open_session();
     }

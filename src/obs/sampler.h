@@ -4,7 +4,7 @@
 // under a burst, the resident set breathing against the eviction bound,
 // sessions walking the fault ladder. The sampler runs one background
 // thread that calls a caller-supplied probe (serve::telemetry_sample
-// over a session_manager or shard_manager is the canonical one) every
+// over a session_manager is the canonical one) every
 // interval and appends each snapshot as one JSON line to an append-only
 // file, stamped with seconds since start().
 //

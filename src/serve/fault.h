@@ -37,8 +37,8 @@ namespace ivc::serve {
 //                       cost model, never wall clock)
 //   corrupt_block     — the queued audio block arrives NaN-poisoned
 //                       (per block; exercises the ingest validation)
-//   shard_kill        — a whole serving shard "crashes": the shard
-//                       front force-evicts every idle session of the
+//   shard_kill        — a whole serving shard "crashes": the manager
+//                       force-evicts every idle session of the
 //                       shard to its snapshot and serves on (per shard
 //                       offer; coordinates are (shard index, per-shard
 //                       offer counter)). Because snapshot/restore is
@@ -71,7 +71,7 @@ struct fault_config {
   double recognizer_throw_rate = 0.0;  // per resolved utterance
   double recognizer_overrun_rate = 0.0;  // per resolved utterance
   double corrupt_block_rate = 0.0;     // per consumed block
-  double shard_kill_rate = 0.0;        // per shard-front offer
+  double shard_kill_rate = 0.0;        // per offer of a shard
   // Explicitly pinned faults, in addition to the rate draws.
   std::vector<fault_event> schedule;
 

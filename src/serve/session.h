@@ -106,24 +106,24 @@ struct serve_config {
   std::optional<pipeline_config> pipeline;
   std::size_t queue_capacity = 64;       // blocks per session ring
   overflow_policy policy = overflow_policy::shed_newest;
-  // Workers session_manager::start(0) spawns, and so the workers that
-  // finish() uses on a stopped manager (0 = default_thread_count()).
-  // An explicit start(n) overrides it. Only the owning manager's config
-  // counts; a per-session config's value is ignored.
+  // Workers per shard that session_manager::start(0) spawns, and so
+  // the workers that finish() uses on a stopped manager
+  // (0 = default_thread_count()). An explicit start(n) overrides it.
+  // Only the owning manager's config counts; a per-session config's
+  // value is ignored.
   std::size_t worker_threads = 0;
   // Blocks a worker processes per claim of one session (its scoring
   // batch). 0 = drain the session's queue completely per claim.
   std::size_t max_blocks_per_pass = 0;
   // Binning of the latency histograms: each session's queue_wait and
-  // the manager's rehydrate latency. The aggregate() fold uses it too,
+  // the shards' rehydrate latency. The aggregate() fold uses it too,
   // so merges always see matching configs.
   histogram_config latency_bins;
-  // Residency bound of the owning session_manager (per manager — each
-  // shard of a sharded front gets its own). When more than this many
-  // sessions are LIVE, the manager evicts idle least-recently-offered
-  // sessions to compact snapshots and rebuilds them on their next
-  // offer, bit-identically. 0 = unbounded (no eviction). Ignored by the
-  // session itself.
+  // Residency bound of each shard of the owning session_manager. When
+  // more than this many of a shard's sessions are LIVE, the shard
+  // evicts idle least-recently-offered sessions to compact snapshots
+  // and rebuilds them on their next offer, bit-identically.
+  // 0 = unbounded (no eviction). Ignored by the session itself.
   std::size_t max_resident_sessions = 0;
   // Containment + recovery policy (always on; the knobs bound it).
   fault_tolerance_config fault_tolerance;
@@ -132,8 +132,8 @@ struct serve_config {
   // inherits it for the recognizer sites.
   std::shared_ptr<const fault_injector> faults;
   // ---- Observability -------------------------------------------------
-  // Fleet-wide metrics registry, shared by every session/manager/shard
-  // of the front; null = no metrics (handles degrade to no-ops). Each
+  // Fleet-wide metrics registry, shared by every session and shard of
+  // the manager; null = no metrics (handles degrade to no-ops). Each
   // session registers one cell per session_counters row that names a
   // series.
   std::shared_ptr<obs::metrics_registry> metrics;

@@ -11,10 +11,12 @@ void put_u64(json::object& o, const char* key, std::uint64_t v) {
   o.emplace_back(key, json::value{static_cast<double>(v)});
 }
 
-// The shared middle of both probes: fleet totals, the eviction layer,
-// the health roll-up, then every session_counters row under its key.
-void fill_fleet_fields(json::object& o, const serve_totals& totals,
-                       const eviction_stats& evic) {
+}  // namespace
+
+json::value telemetry_sample(const session_manager& manager) {
+  json::object o;
+  const serve_totals totals = manager.aggregate();
+  const eviction_stats evic = manager.eviction();
   put_u64(o, "sessions", totals.num_sessions);
   put_u64(o, "resident", evic.resident);
   put_u64(o, "evictions", evic.evictions);
@@ -26,20 +28,7 @@ void fill_fleet_fields(json::object& o, const serve_totals& totals,
   for (const counter_def& c : session_counters) {
     put(o, c.key, counter_value(totals.stats, c));
   }
-}
-
-}  // namespace
-
-json::value telemetry_sample(const session_manager& manager) {
-  json::object o;
-  fill_fleet_fields(o, manager.aggregate(), manager.eviction());
-  return json::value{std::move(o)};
-}
-
-json::value telemetry_sample(const shard_manager& front) {
-  json::object o;
-  fill_fleet_fields(o, front.aggregate(), front.eviction());
-  const shard_balance bal = front.balance();
+  const shard_balance bal = manager.balance();
   put_u64(o, "shards", bal.shards.size());
   put_u64(o, "shard_min_sessions", bal.min_sessions);
   put_u64(o, "shard_max_sessions", bal.max_sessions);

@@ -190,8 +190,8 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
     r.verdicts.push_back(manager.verdicts(s));
     r.outcomes.push_back(manager.outcomes(s));
     r.stats.push_back(manager.stats(s));
-    r.states.push_back(manager.session(s).state());
-    r.last_errors.push_back(manager.session(s).last_error());
+    r.states.push_back(manager.state(s));
+    r.last_errors.push_back(manager.last_error(s));
   }
   r.totals = manager.aggregate();
   return r;
@@ -362,7 +362,7 @@ TEST(fault_containment, detector_fault_auto_reopens_with_backoff) {
   // First reopen: backoff_blocks << 0 = 4 accepted blocks dropped.
   EXPECT_EQ(st.blocks_dropped_backoff, 4u);
   // The session recovered and finished serving.
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
   // Blocks before the fault and after the backoff were scored.
   EXPECT_GT(st.blocks_processed, 0u);
   EXPECT_EQ(st.blocks_processed + st.blocks_dropped_backoff + 1,
@@ -424,7 +424,7 @@ TEST(fault_containment, retry_budget_exhaustion_parks_permanently) {
   // block 2 faults (reopen #2, drop 2 blocks), block 5 faults with the
   // budget spent — parked.
   const session_stats st = manager.stats(sid);
-  EXPECT_EQ(manager.session(sid).state(), session_state::quarantined);
+  EXPECT_EQ(manager.state(sid), session_state::quarantined);
   EXPECT_EQ(st.detector_faults, 3u);
   EXPECT_EQ(st.quarantines, 3u);
   EXPECT_EQ(st.reopens, 2u);
@@ -449,8 +449,8 @@ TEST(fault_containment, reopen_restores_service_after_quarantine) {
   manager.offer(sid, piece);
   manager.start(1);  // block 0 faults; no auto-reopen → parked
   manager.stop();
-  EXPECT_EQ(manager.session(sid).state(), session_state::quarantined);
-  EXPECT_FALSE(manager.session(sid).last_error().empty());
+  EXPECT_EQ(manager.state(sid), session_state::quarantined);
+  EXPECT_FALSE(manager.last_error(sid).empty());
 
   // Parked: offers refused with the dedicated status.
   EXPECT_EQ(manager.offer(sid, piece), offer_status::quarantined);
@@ -459,7 +459,7 @@ TEST(fault_containment, reopen_restores_service_after_quarantine) {
   // reopen() restores service through the block-counted backoff.
   EXPECT_TRUE(manager.reopen(sid));
   EXPECT_FALSE(manager.reopen(sid));  // only quarantined sessions reopen
-  EXPECT_EQ(manager.session(sid).state(), session_state::recovering);
+  EXPECT_EQ(manager.state(sid), session_state::recovering);
   const audio::buffer speech = command_stream(902);
   const std::size_t block = 4'096;
   for (std::size_t start = 0; start < speech.size(); start += block) {
@@ -474,7 +474,7 @@ TEST(fault_containment, reopen_restores_service_after_quarantine) {
   }
   manager.finish();
   const session_stats st = manager.stats(sid);
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
   EXPECT_EQ(st.reopens, 1u);
   EXPECT_EQ(st.blocks_dropped_backoff, 2u);
   EXPECT_GT(st.blocks_processed, 0u);
@@ -499,7 +499,7 @@ TEST(fault_containment, reopen_is_a_noop_on_non_quarantined_sessions) {
   manager.start(1);
   manager.stop();
   EXPECT_FALSE(manager.reopen(sid));
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
   EXPECT_EQ(manager.stats(sid).reopens, 0u);
 
   // Evicted + not quarantined: still false, and the freeze-time state
@@ -530,14 +530,14 @@ TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
   manager.offer(sid, audio::silence(0.2, kRate));
   manager.start(1);  // block 0 faults; no auto-reopen → parked
   manager.stop();
-  ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
+  ASSERT_EQ(manager.state(sid), session_state::quarantined);
   ASSERT_TRUE(manager.evict(sid));
   ASSERT_FALSE(manager.resident(sid));
 
   EXPECT_TRUE(manager.reopen(sid));
   EXPECT_TRUE(manager.resident(sid));
   EXPECT_EQ(manager.eviction().rehydrations, 1u);
-  EXPECT_EQ(manager.session(sid).state(), session_state::recovering);
+  EXPECT_EQ(manager.state(sid), session_state::recovering);
 
   const audio::buffer speech = command_stream(903);
   const std::size_t block = 4'096;
@@ -555,7 +555,7 @@ TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
   }
   manager.finish();
   const session_stats st = manager.stats(sid);
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
   EXPECT_EQ(st.reopens, 1u);
   EXPECT_EQ(st.blocks_dropped_backoff, 2u);
   // Every block queued after the reopen was consumed: scored, or dropped
@@ -567,18 +567,41 @@ TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
 
 TEST(fault_containment, force_quarantine_parks_without_reset) {
   serve_config cfg = fleet_config();
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  manager.session(sid);  // exists
-  auto& s = const_cast<detection_session&>(manager.session(sid));
+  detection_session s{0, tiny_detector(), cfg};
   s.force_quarantine("worker backstop: simulated escape");
   EXPECT_EQ(s.state(), session_state::quarantined);
   EXPECT_EQ(s.last_error(), "worker backstop: simulated escape");
-  EXPECT_EQ(manager.aggregate().sessions_quarantined, 1u);
   EXPECT_FALSE(s.has_work());
   // Idempotent: a second force does not double-count.
   s.force_quarantine("again");
-  EXPECT_EQ(manager.stats(sid).quarantines, 1u);
+  EXPECT_EQ(s.stats().quarantines, 1u);
+}
+
+// state() and last_error() are by-value reads, so an eviction after the
+// read cannot pull anything out from under the caller. A frozen session
+// answers them from its freeze-time hints, like every other id-keyed
+// read, and answering does not rehydrate it.
+TEST(fault_containment, evicted_quarantined_session_keeps_state_and_error) {
+  serve_config cfg = fleet_config();
+  cfg.fault_tolerance.auto_reopen = false;
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::detector_throw, /*session=*/0,
+                         /*index=*/0});
+  cfg.faults = std::make_shared<fault_injector>(fc);
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  manager.offer(sid, audio::silence(0.2, kRate));
+  manager.start(1);
+  manager.stop();
+  ASSERT_EQ(manager.state(sid), session_state::quarantined);
+  const std::string error = manager.last_error(sid);
+  ASSERT_FALSE(error.empty());
+
+  ASSERT_TRUE(manager.evict(sid));
+  EXPECT_EQ(manager.state(sid), session_state::quarantined);
+  EXPECT_EQ(manager.last_error(sid), error);
+  EXPECT_FALSE(manager.resident(sid));
+  EXPECT_EQ(manager.eviction().rehydrations, 0u);
 }
 
 // Pins the fix for the one real data race the thread-safety annotation

@@ -468,7 +468,7 @@ TEST(serve, finish_on_never_offered_session_flushes_once) {
   manager.finish();
   EXPECT_TRUE(manager.verdicts(sid).empty());
   EXPECT_EQ(manager.verdicts(partial_sid).size(), 1u);
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
 }
 
 }  // namespace

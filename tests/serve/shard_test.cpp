@@ -1,5 +1,5 @@
-// Sharded serving front: global session id g lives on shard g % M of M
-// independent session_manager shards, behind the one-manager API.
+// Sharded serving: global session id g lives on shard g % M of a
+// session_manager with M independent shards.
 //
 // The load-bearing claim: sharding is INVISIBLE in the streams. A
 // session's verdict/outcome streams and trace are a pure function of its
@@ -20,7 +20,8 @@
 #include "audio/ops.h"
 #include "common/rng.h"
 #include "defense/classifier.h"
-#include "serve/shard.h"
+#include "obs/registry.h"
+#include "serve/session_manager.h"
 #include "sim/scenario.h"
 #include "synth/commands.h"
 
@@ -135,7 +136,7 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
   cfg.max_resident_sessions = p.max_resident;
   cfg.faults = p.faults;
   cfg.fault_tolerance = p.tolerance;
-  shard_manager front{tiny_detector(), cfg, p.shards};
+  session_manager front{tiny_detector(), cfg, p.shards};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     front.open_session();
   }
@@ -243,7 +244,7 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
 
 TEST(shard, placement_is_round_robin_and_balanced) {
   serve_config cfg;  // no pipeline: placement only, keep it cheap
-  shard_manager front{tiny_detector(), cfg, 4};
+  session_manager front{tiny_detector(), cfg, 4};
   constexpr std::uint64_t kSessions = 258;
   for (std::uint64_t n = 0; n < kSessions; ++n) {
     // One opener: ids are dense, and id g lives on shard g % 4.
@@ -262,13 +263,6 @@ TEST(shard, placement_is_round_robin_and_balanced) {
   EXPECT_EQ(total, kSessions);
   EXPECT_DOUBLE_EQ(b.mean_sessions, 64.5);
   EXPECT_LE(b.max_sessions - b.min_sessions, 1u);
-
-  // The shard managers are reachable and hold the same sessions.
-  std::size_t via_shards = 0;
-  for (std::size_t i = 0; i < front.num_shards(); ++i) {
-    via_shards += front.shard(i).num_sessions();
-  }
-  EXPECT_EQ(via_shards, kSessions);
 }
 
 // Openers race each other and a streaming producer. Each shard mints
@@ -278,7 +272,7 @@ TEST(shard, placement_is_round_robin_and_balanced) {
 TEST(shard, concurrent_opens_mint_exactly_the_dense_ids) {
   serve_config cfg;  // detector only
   cfg.queue_capacity = 256;
-  shard_manager front{tiny_detector(), cfg, 3};
+  session_manager front{tiny_detector(), cfg, 3};
   std::vector<std::uint64_t> ids;
   for (int s = 0; s < 3; ++s) {
     ids.push_back(front.open_session());
@@ -327,41 +321,47 @@ TEST(shard, concurrent_opens_mint_exactly_the_dense_ids) {
 
 // ---- shard_kill faults -----------------------------------------------
 
+// A lone manager is one shard, so it must kill too.
 TEST(shard, shard_kill_is_invisible_in_the_streams) {
   const std::vector<audio::buffer> streams = fleet_streams(6);
   const std::size_t block = 2'048;
 
-  fleet_params clean;
-  clean.shards = 2;
-  const fleet_result want = run_fleet(streams, block, clean);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const std::string where = std::to_string(shards) + " shard(s)";
+    fleet_params clean;
+    clean.shards = shards;
+    const fleet_result want = run_fleet(streams, block, clean);
 
-  fault_config fc;
-  fc.seed = 7;
-  fc.shard_kill_rate = 0.05;  // every ~20th shard-front offer
-  fleet_params chaos = clean;
-  chaos.faults = std::make_shared<fault_injector>(fc);
-  const fleet_result got = run_fleet(streams, block, chaos);
+    fault_config fc;
+    fc.seed = 7;
+    fc.shard_kill_rate = 0.05;  // every ~20th offer of a shard
+    fleet_params chaos = clean;
+    chaos.faults = std::make_shared<fault_injector>(fc);
+    const fleet_result got = run_fleet(streams, block, chaos);
 
-  // Kills actually happened and evicted sessions...
-  std::uint64_t kills = 0;
-  for (const shard_load& l : got.balance.shards) {
-    kills += l.shard_kills;
+    // Kills actually happened and evicted sessions...
+    std::uint64_t kills = 0;
+    for (const shard_load& l : got.balance.shards) {
+      kills += l.shard_kills;
+    }
+    ASSERT_GT(kills, 0u) << where;
+    EXPECT_GT(got.eviction.evictions, 0u) << where;
+
+    // ...yet every stream is bit-identical to the fault-free run, and
+    // the attacker gained nothing: executed counts match exactly.
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      expect_same_verdicts(want.verdicts[s], got.verdicts[s],
+                           where + ", session " + std::to_string(s));
+      expect_same_outcomes(want.outcomes[s], got.outcomes[s],
+                           where + ", session " + std::to_string(s));
+    }
+    EXPECT_EQ(want.totals.stats.commands_executed,
+              got.totals.stats.commands_executed)
+        << where;
+    EXPECT_EQ(want.totals.stats.commands_blocked,
+              got.totals.stats.commands_blocked)
+        << where;
   }
-  ASSERT_GT(kills, 0u);
-  EXPECT_GT(got.eviction.evictions, 0u);
-
-  // ...yet every stream is bit-identical to the fault-free run, and the
-  // attacker gained nothing: executed counts match exactly.
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    expect_same_verdicts(want.verdicts[s], got.verdicts[s],
-                         "session " + std::to_string(s));
-    expect_same_outcomes(want.outcomes[s], got.outcomes[s],
-                         "session " + std::to_string(s));
-  }
-  EXPECT_EQ(want.totals.stats.commands_executed,
-            got.totals.stats.commands_executed);
-  EXPECT_EQ(want.totals.stats.commands_blocked,
-            got.totals.stats.commands_blocked);
 }
 
 // ---- session faults and the flight recorder --------------------------
@@ -425,7 +425,7 @@ TEST(shard, reopen_restores_one_session_on_its_shard) {
   fault_config fc;
   fc.schedule.push_back({fault_kind::detector_throw, kFaulted, /*index=*/1});
   cfg.faults = std::make_shared<fault_injector>(fc);
-  shard_manager front{tiny_detector(), cfg, 3};
+  session_manager front{tiny_detector(), cfg, 3};
   for (int s = 0; s < 6; ++s) {
     front.open_session();
   }
@@ -444,9 +444,10 @@ TEST(shard, reopen_restores_one_session_on_its_shard) {
   front.stop();
 
   // Only the pinned session parked, on its own shard.
+  const serve_totals quarantined = front.aggregate();
+  ASSERT_EQ(quarantined.quarantine_errors.size(), 1u);
+  EXPECT_EQ(quarantined.quarantine_errors[0].first, kFaulted);
   const shard_balance parked = front.balance();
-  ASSERT_EQ(parked.quarantine_errors.size(), 1u);
-  EXPECT_EQ(parked.quarantine_errors[0].first, kFaulted);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(parked.shards[i].quarantined, i == 2 ? 1u : 0u);
   }
@@ -541,6 +542,50 @@ TEST(shard, balance_counts_evictions_under_streaming_drain) {
   }
 }
 
+// Every shard writes the same fleet registry cells, so the resident and
+// frozen-bytes gauges must read the fleet totals, not whichever shard
+// wrote last.
+TEST(shard, fleet_gauges_read_the_fleet_totals) {
+  const audio::buffer stream = command_stream(670);
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{1}}) {
+    serve_config cfg;  // detector only
+    cfg.max_resident_sessions = bound;  // per shard; 0 = unbounded
+    cfg.metrics = std::make_shared<obs::metrics_registry>();
+    const obs::gauge resident =
+        cfg.metrics->get_gauge("serve_resident_sessions");
+    const obs::gauge frozen = cfg.metrics->get_gauge("serve_frozen_bytes");
+    session_manager front{tiny_detector(), cfg, 3};
+    const auto expect_fleet_gauges = [&](const char* when) {
+      const eviction_stats e = front.eviction();
+      EXPECT_EQ(resident.value(), static_cast<double>(e.resident))
+          << "bound " << bound << ", " << when;
+      EXPECT_EQ(frozen.value(), static_cast<double>(e.frozen_bytes))
+          << "bound " << bound << ", " << when;
+    };
+    constexpr std::uint64_t kSessions = 6;
+    for (std::uint64_t s = 0; s < kSessions; ++s) {
+      front.open_session();
+    }
+    expect_fleet_gauges("after opening");
+    if (bound > 0) {
+      EXPECT_GT(frozen.value(), 0.0);  // the bound engaged
+    }
+    for (std::uint64_t b = 0; b < 3; ++b) {
+      for (std::uint64_t id = 0; id < kSessions; ++id) {
+        front.offer(id, cut(stream, b * 2'048, (b + 1) * 2'048));
+      }
+      front.start(1);
+      front.stop();
+      expect_fleet_gauges("after a burst");
+    }
+    front.finish();
+    expect_fleet_gauges("after finish");
+    if (bound == 0) {
+      EXPECT_EQ(resident.value(), static_cast<double>(kSessions));
+    }
+  }
+}
+
 // ---- finish() flush contract -----------------------------------------
 
 // finish() is close_all + start + stop on every shard. It must score
@@ -552,7 +597,7 @@ TEST(shard, balance_counts_evictions_under_streaming_drain) {
 TEST(shard, finish_scores_every_block_and_flushes_once) {
   const serve_config cfg;  // detector only: the flush is under test
   for (const bool started : {false, true}) {
-    shard_manager front{tiny_detector(), cfg, 2};
+    session_manager front{tiny_detector(), cfg, 2};
     for (std::size_t s = 0; s < 4; ++s) {
       front.open_session();
     }
@@ -580,12 +625,12 @@ TEST(shard, finish_scores_every_block_and_flushes_once) {
 
 TEST(shard, front_validates_inputs) {
   serve_config cfg;
-  EXPECT_THROW(shard_manager(tiny_detector(), cfg, 0), std::invalid_argument);
-  shard_manager front{tiny_detector(), cfg, 2};
+  EXPECT_THROW(session_manager(tiny_detector(), cfg, 0),
+               std::invalid_argument);
+  session_manager front{tiny_detector(), cfg, 2};
   EXPECT_THROW(front.offer(0, audio::silence(0.1, kRate)),
                std::invalid_argument);
   EXPECT_THROW(front.shard_of(0), std::invalid_argument);
-  EXPECT_THROW(front.shard(2), std::invalid_argument);
   const std::uint64_t id = front.open_session();
   EXPECT_EQ(id, 0u);
   EXPECT_TRUE(front.resident(id));

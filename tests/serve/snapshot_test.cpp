@@ -461,7 +461,7 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
     }
     manager.finish();
     return std::make_tuple(manager.verdicts(sid), manager.outcomes(sid),
-                           manager.stats(sid), manager.session(sid).state());
+                           manager.stats(sid), manager.state(sid));
   };
 
   const auto [v1, o1, st1, state1] = run(1);
@@ -595,8 +595,11 @@ TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
   const serve_totals totals = manager.aggregate();
   EXPECT_EQ(totals.stats.blocks_processed, before_st.blocks_processed);
   EXPECT_FALSE(manager.resident(sid));
-  // Direct object access is the one read that requires residency.
-  EXPECT_THROW(manager.session(sid), std::invalid_argument);
+  // Health reads answer from the freeze-time hints, also without
+  // rehydrating.
+  EXPECT_EQ(manager.state(sid), session_state::serving);
+  EXPECT_EQ(manager.last_error(sid), "");
+  EXPECT_FALSE(manager.resident(sid));
 
   // A double evict is a no-op; the next offer transparently rehydrates.
   EXPECT_FALSE(manager.evict(sid));

@@ -31,7 +31,6 @@
 #include "obs/trace.h"
 #include "serve/fault.h"
 #include "serve/session_manager.h"
-#include "serve/shard.h"
 #include "sim/scenario.h"
 #include "synth/commands.h"
 
@@ -277,8 +276,8 @@ TEST(flight_recorder, quarantine_dump_carries_stage_and_error) {
                            std::min(start + block, stream.size())));
   }
   manager.finish();
-  ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
-  const std::string error = manager.session(sid).last_error();
+  ASSERT_EQ(manager.state(sid), session_state::quarantined);
+  const std::string error = manager.last_error(sid);
   ASSERT_FALSE(error.empty());
 
   // The in-memory recorder: final span names the faulting stage and
@@ -306,10 +305,6 @@ TEST(flight_recorder, quarantine_dump_carries_stage_and_error) {
   ASSERT_EQ(totals.quarantine_errors.size(), 1u);
   EXPECT_EQ(totals.quarantine_errors[0].first, sid);
   EXPECT_EQ(totals.quarantine_errors[0].second, error);
-  const auto parked = manager.quarantine_errors();
-  ASSERT_EQ(parked.size(), 1u);
-  EXPECT_EQ(parked[0].first, sid);
-  EXPECT_EQ(parked[0].second, error);
   std::remove(dump_path.c_str());
 }
 
@@ -336,7 +331,7 @@ TEST(flight_recorder, retried_quarantines_dump_too) {
   manager.finish();
   // The ladder recovered the session — but the black box still dumped
   // the crash, marked retried (value 1) at the detector stage.
-  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(manager.state(sid), session_state::serving);
   ASSERT_EQ(sink->dumps(), 1u);
   std::ifstream in{dump_path};
   std::string line;
@@ -394,8 +389,8 @@ TEST(flight_recorder, quarantine_errors_survive_eviction_via_hints) {
   manager.offer(sid, audio::silence(0.2, kRate));
   manager.start(1);
   manager.stop();
-  ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
-  const std::string error = manager.session(sid).last_error();
+  ASSERT_EQ(manager.state(sid), session_state::quarantined);
+  const std::string error = manager.last_error(sid);
 
   ASSERT_TRUE(manager.evict(sid));
   ASSERT_FALSE(manager.resident(sid));
@@ -420,7 +415,7 @@ TEST(shard_telemetry, quarantine_errors_and_dumps_name_global_ids) {
   std::remove(dump_path.c_str());
   cfg.trace_sink = std::make_shared<obs::jsonl_trace_sink>(dump_path);
   constexpr std::size_t kSessions = 6;
-  shard_manager front{tiny_detector(), cfg, /*num_shards=*/3};
+  session_manager front{tiny_detector(), cfg, /*num_shards=*/3};
   for (std::size_t s = 0; s < kSessions; ++s) {
     front.open_session();
   }
@@ -435,19 +430,18 @@ TEST(shard_telemetry, quarantine_errors_and_dumps_name_global_ids) {
     quarantined += l.quarantined;
   }
   EXPECT_EQ(quarantined, kSessions);
-  ASSERT_EQ(bal.quarantine_errors.size(), kSessions);
+  const serve_totals totals = front.aggregate();
+  EXPECT_EQ(totals.sessions_quarantined, kSessions);
+  ASSERT_EQ(totals.quarantine_errors.size(), kSessions);
   // Every GLOBAL id appears exactly once, with that session's error.
   std::vector<bool> seen(kSessions, false);
-  for (const auto& [gid, err] : bal.quarantine_errors) {
+  for (const auto& [gid, err] : totals.quarantine_errors) {
     ASSERT_LT(gid, kSessions);
     EXPECT_FALSE(seen[gid]) << "global id " << gid << " reported twice";
     seen[gid] = true;
     EXPECT_FALSE(err.empty());
+    EXPECT_EQ(err, front.last_error(gid));
   }
-  // aggregate() surfaces the same set.
-  const serve_totals totals = front.aggregate();
-  EXPECT_EQ(totals.sessions_quarantined, kSessions);
-  EXPECT_EQ(totals.quarantine_errors.size(), kSessions);
   // And the per-id trace routes to the right shard: each final span is
   // the detector fault that parked the session.
   for (std::size_t s = 0; s < kSessions; ++s) {
