@@ -40,7 +40,9 @@ std::vector<stream_event> stream_detector::finish() {
 }
 
 void stream_detector::reset() {
-  pending_.clear();
+  // Release the window buffer, not just empty it: a finished session
+  // stays resident, and clear() would keep its ~1 s of capacity alive.
+  std::vector<double>{}.swap(pending_);
   rate_ = 0.0;
   consumed_s_ = 0.0;
 }

@@ -38,6 +38,7 @@ class stream_detector {
   // onto the finished one.
   std::vector<stream_event> finish();
 
+  // Starts a fresh stream and releases the window buffer.
   void reset();
 
   // Serializable stream state (pending samples, stream position, rate —

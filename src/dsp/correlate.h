@@ -26,9 +26,19 @@ struct alignment {
 // Lag of maximum |cross-correlation| and its normalized value.
 alignment best_alignment(std::span<const double> a, std::span<const double> b);
 
-// Pearson correlation after shifting b by best_alignment().lag, restricted
-// to lags within +/-max_lag samples. Used to score demodulated commands
-// against the reference voice without assuming exact time alignment.
+// Pearson correlation after shifting b by the lag of maximum |cross-
+// correlation| within +/-max_lag samples. Used to score demodulated
+// commands against the reference voice without assuming exact time
+// alignment.
+//
+// Only the searched lags [max(-max_lag, -(b.size()-1)),
+// min(max_lag, a.size()-1)] are computed: blocks of b are correlated
+// against the matching a-segments in the frequency domain at a transform
+// size set by the lag span alone (2048 for +/-320 lags), and their
+// spectra are summed before one inverse. The first maximum of |xc| in
+// ascending lag order wins; when either input is silent
+// (sqrt(Σa²·Σb²) <= 1e-300) the lowest lag in range does. The returned
+// value is pearson_correlation() on the overlap at that lag.
 double aligned_correlation(std::span<const double> a, std::span<const double> b,
                            std::size_t max_lag);
 

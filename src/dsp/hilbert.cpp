@@ -1,5 +1,6 @@
 #include "dsp/hilbert.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/constants.h"
@@ -35,10 +36,29 @@ std::vector<std::complex<double>> analytic_signal(
 }
 
 std::vector<double> envelope(std::span<const double> input) {
-  const auto a = analytic_signal(input);
-  std::vector<double> env(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    env[i] = std::abs(a[i]);
+  expects(!input.empty(), "envelope: input must be non-empty");
+  const std::size_t len = input.size();
+  const std::size_t n = next_pow2(len);
+  const auto plan = get_fft_plan(n);
+  std::vector<double> padded(n, 0.0);
+  std::copy(input.begin(), input.end(), padded.begin());
+  std::vector<cplx> spec(plan->num_real_bins());
+  plan->rfft(padded, spec);
+
+  // The quadrature h is the imaginary part of the analytic signal: -j·X
+  // on the interior bins, nothing at DC or Nyquist. Its spectrum stays
+  // conjugate-symmetric, so one half-size real inverse yields it.
+  spec.front() = cplx{0.0, 0.0};
+  spec.back() = cplx{0.0, 0.0};
+  for (std::size_t i = 1; i < n / 2; ++i) {
+    spec[i] = cplx{spec[i].imag(), -spec[i].real()};
+  }
+  std::vector<cplx> work(plan->workspace_size());
+  plan->irfft(spec, padded, work);
+
+  std::vector<double> env(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    env[i] = std::sqrt(input[i] * input[i] + padded[i] * padded[i]);
   }
   return env;
 }

@@ -16,7 +16,10 @@ namespace ivc::dsp {
 // frequencies, zeroed for negative ones.
 std::vector<std::complex<double>> analytic_signal(std::span<const double> input);
 
-// Instantaneous amplitude |analytic(x)|.
+// Instantaneous amplitude |analytic(x)| = sqrt(x² + h²). The quadrature
+// h comes from one half-size real inverse transform (-j·X on the
+// interior bins, DC and Nyquist zeroed) rather than the full complex
+// inverse analytic_signal() runs; the two agree to rounding.
 std::vector<double> envelope(std::span<const double> input);
 
 // Envelope additionally smoothed by a low-pass at `smooth_hz`

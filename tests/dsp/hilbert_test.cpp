@@ -1,9 +1,11 @@
 #include "dsp/hilbert.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "common/constants.h"
+#include "common/rng.h"
 #include "dsp/goertzel.h"
 #include "dsp/spectrum.h"
 
@@ -39,6 +41,26 @@ TEST(hilbert, envelope_of_am_tone_tracks_modulation) {
   for (std::size_t i = 2'000; i < n - 2'000; ++i) {
     const double t = static_cast<double>(i) / fs;
     EXPECT_NEAR(env[i], 1.0 + 0.5 * std::sin(two_pi * 5.0 * t), 0.03);
+  }
+}
+
+TEST(hilbert, envelope_matches_analytic_signal_magnitude) {
+  ivc::rng rng{7};
+  for (const std::size_t n : {1, 2, 3, 1'000, 4'096, 10'917}) {
+    std::vector<double> x(n);
+    for (auto& v : x) {
+      v = rng.normal();
+    }
+    const auto a = analytic_signal(x);
+    const auto env = envelope(x);
+    ASSERT_EQ(env.size(), n);
+    double peak = 0.0;
+    for (const auto& v : a) {
+      peak = std::max(peak, std::abs(v));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(env[i], std::abs(a[i]), 1e-12 * peak) << "n " << n;
+    }
   }
 }
 
@@ -85,6 +107,7 @@ TEST(hilbert, ssb_at_zero_carrier_is_identity) {
 
 TEST(hilbert, rejects_bad_arguments) {
   EXPECT_THROW(analytic_signal({}), std::invalid_argument);
+  EXPECT_THROW(envelope({}), std::invalid_argument);
   const std::vector<double> x(64, 0.0);
   EXPECT_THROW(ssb_modulate(x, 5'000.0, 8'000.0), std::invalid_argument);
   EXPECT_THROW(smoothed_envelope(x, 8'000.0, 5'000.0), std::invalid_argument);
