@@ -15,7 +15,8 @@
 //   * determinism: per-session verdict streams must be bit-identical at
 //     1 worker vs N workers (exit 1 on any mismatch);
 //   * backpressure: a dedicated overload pass with a tiny queue bound
-//     and shed_newest policy must shed a deterministic block count.
+//     and shed_newest policy must shed exactly the block count its
+//     schedule implies (exit 1 otherwise).
 //
 // `--paced` switches to the streaming replay protocol (`serve-paced-v1`
 // run-log signature): sim::traffic stamps each fleet stream with a
@@ -69,6 +70,14 @@
 // top scale to put faults into >= 25% of sessions with attacker success
 // pinned at 0%.
 //
+// Every run except phase B's throttled scale loop goes through one
+// replay loop (replay() below): an ordered offer list — round-robin
+// rounds or the arrival timeline — offered either to live workers
+// (a rejected offer retries after 200 µs) or between start/stop
+// barriers (a rejected offer waits for one). Every identity check uses
+// one rule, same_streams(): verdicts compare with stream_event's ==,
+// outcomes with serve::same_decision.
+//
 // Flags (on top of the common bench flags in bench_util.h):
 //   --smoke          CI-sized run: 64 sessions, one block size, 1-vs-N
 //   --sessions <n>   override the session-count sweep with a single value
@@ -96,10 +105,12 @@
 // The JSON is written to BENCH_serve.json unless --json overrides it.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -118,280 +129,616 @@
 #include "sim/scenario.h"
 #include "sim/traffic.h"
 
+namespace ivc {
 namespace {
 
 // Classifier trained on a small real corpus (same physics as the
 // traffic), so serving-level verdict rates mean something. Small caps
 // keep the bench about the serving layer, not corpus rendering.
-ivc::defense::classifier_detector trained_detector(std::size_t threads) {
-  ivc::sim::corpus_config cfg;
-  cfg.rig = ivc::attack::monolithic_rig();
+defense::classifier_detector trained_detector(std::size_t threads) {
+  sim::corpus_config cfg;
+  cfg.rig = attack::monolithic_rig();
   cfg.max_attack_commands = 4;
   cfg.max_genuine_phrases = 6;
   cfg.num_threads = threads;
-  const ivc::sim::defense_corpus corpus =
-      ivc::sim::build_defense_corpus(cfg, 70);
-  ivc::defense::logistic_classifier clf;
+  const sim::defense_corpus corpus = sim::build_defense_corpus(cfg, 70);
+  defense::logistic_classifier clf;
   clf.train(corpus.train);
-  return ivc::defense::classifier_detector{clf};
+  return defense::classifier_detector{clf};
 }
 
-// The detector is expensive to train; cache it across combos.
-const ivc::defense::classifier_detector& trained_detector_cache() {
-  static const ivc::defense::classifier_detector detector =
-      trained_detector(0);
+// The detector is expensive to train; cache it across runs.
+const defense::classifier_detector& trained_detector_cache() {
+  static const defense::classifier_detector detector = trained_detector(0);
   return detector;
 }
 
-struct combo_result {
-  ivc::serve::serve_totals totals;
-  std::vector<std::vector<ivc::defense::stream_event>> verdicts;
+// ---- Traffic ----------------------------------------------------------
+
+// A rendered fleet and the totals the protocols report about it.
+struct fleet_traffic {
+  std::vector<sim::session_script> scripts;
+  double audio_s = 0.0;     // summed capture duration
+  double timeline_s = 0.0;  // arrival of the fleet's last block
+  std::size_t attack_streams = 0;
 };
 
-// Feeds the first `num_sessions` scripts through a manager: offers one
-// block per session per round (round-robin, the concurrent-arrival
-// shape) with no workers running, then lets `workers` workers drain the
-// queues (start, then stop) every `drain_every` rounds and at the end.
-// Under the reject policy, a bounced offer drains the same way and
-// retries — explicit producer-side backpressure.
-combo_result run_combo(const std::vector<ivc::sim::session_script>& scripts,
-                       std::size_t num_sessions, double block_ms,
-                       const ivc::serve::serve_config& cfg,
-                       std::size_t workers, std::size_t drain_every) {
-  using ivc::serve::offer_status;
-  ivc::serve::session_manager manager{trained_detector_cache(), cfg};
-  combo_result result;
-  // Block size in samples per session, from each device's own capture
-  // rate — a 50 ms block means 50 ms of audio on every profile.
-  std::vector<std::size_t> block_samples(num_sessions);
-  std::vector<std::size_t> blocks_total(num_sessions);
-  std::size_t max_rounds = 0;
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    manager.open_session();
-    block_samples[s] = std::max<std::size_t>(
-        1, static_cast<std::size_t>(block_ms * 1e-3 *
-                                    scripts[s].capture.sample_rate_hz));
-    const std::size_t n =
-        (scripts[s].capture.size() + block_samples[s] - 1) / block_samples[s];
-    blocks_total[s] = n;
-    max_rounds = std::max(max_rounds, n);
+fleet_traffic render_traffic(std::size_t sessions, std::size_t utterances,
+                             std::size_t threads, std::uint64_t seed = 7,
+                             double session_rate_hz = 0.0) {
+  sim::traffic_config tc;
+  tc.num_sessions = sessions;
+  tc.utterances_per_session = utterances;
+  tc.session_rate_hz = session_rate_hz;
+  tc.num_threads = threads;
+  fleet_traffic t;
+  t.scripts = sim::traffic_generator{tc, seed}.render_all();
+  for (const sim::session_script& s : t.scripts) {
+    t.audio_s += s.capture.duration_s();
+    t.timeline_s = std::max(t.timeline_s, s.end_s());
+    t.attack_streams += s.is_attack ? 1 : 0;
   }
-
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < num_sessions; ++s) {
-      if (round >= blocks_total[s]) {
-        continue;
-      }
-      const std::size_t start = round * block_samples[s];
-      const std::size_t end = std::min(start + block_samples[s],
-                                       scripts[s].capture.size());
-      ivc::audio::buffer block{
-          {scripts[s].capture.samples.begin() +
-               static_cast<std::ptrdiff_t>(start),
-           scripts[s].capture.samples.begin() +
-               static_cast<std::ptrdiff_t>(end)},
-          scripts[s].capture.sample_rate_hz};
-      while (manager.offer(s, block) == offer_status::rejected) {
-        manager.start(workers);  // backpressure: drain, then retry
-        manager.stop();
-      }
-    }
-    if ((round + 1) % drain_every == 0) {
-      manager.start(workers);
-      manager.stop();
-    }
-  }
-  manager.start(workers);  // finish()'s own start() is then a no-op
-  manager.finish();
-  result.totals = manager.aggregate();
-  result.verdicts.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    result.verdicts.push_back(manager.verdicts(s));
-  }
-  return result;
+  return t;
 }
 
-bool identical_verdicts(const std::vector<ivc::defense::stream_event>& a,
-                        const std::vector<ivc::defense::stream_event>& b) {
-  if (a.size() != b.size()) {
-    return false;
+// ---- The replay loop --------------------------------------------------
+
+// One session of a replay: `capture` cut into `block_samples`-sample
+// blocks (the last may be short), of which the first `blocks` are
+// offered.
+struct stream_plan {
+  const audio::buffer* capture = nullptr;
+  std::size_t block_samples = 0;
+  std::size_t blocks = 0;
+
+  audio::buffer block(std::size_t b) const {
+    const std::size_t start = b * block_samples;
+    return audio::cut(*capture, start,
+                      std::min(start + block_samples, capture->size()));
   }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].time_s != b[i].time_s || a[i].score != b[i].score ||
-        a[i].is_attack != b[i].is_attack) {
-      return false;
-    }
-  }
-  return true;
+};
+
+stream_plan cut_stream(
+    const audio::buffer& capture, std::size_t block_samples,
+    std::size_t max_blocks = std::numeric_limits<std::size_t>::max()) {
+  return {&capture, block_samples,
+          std::min(max_blocks,
+                   (capture.size() + block_samples - 1) / block_samples)};
 }
 
-// ---- Paced streaming replay (serve-paced-v1) -------------------------
+// Every script cut into its own ingest blocks.
+std::vector<stream_plan> script_streams(
+    const std::vector<sim::session_script>& scripts) {
+  std::vector<stream_plan> fleet;
+  fleet.reserve(scripts.size());
+  for (const sim::session_script& s : scripts) {
+    fleet.push_back(cut_stream(s.capture, s.block_samples));
+  }
+  return fleet;
+}
 
-// One block arrival on the fleet timeline.
-struct arrival_event {
-  double arrival_s = 0.0;
+// One offer of a replay: block `block` of session `session`.
+struct offer_event {
+  double due_s = 0.0;     // arrival on the fleet timeline (paced replays)
+  std::size_t round = 0;  // round of a round-robin list (barrier replays)
   std::size_t session = 0;
   std::size_t block = 0;
 };
 
-// Every block of the first `num_sessions` scripts, sorted by arrival
-// time (ties break by session then block index, so the offer order is
-// deterministic even when the timeline has no spread).
-std::vector<arrival_event> build_timeline(
-    const std::vector<ivc::sim::session_script>& scripts,
-    std::size_t num_sessions) {
-  std::vector<arrival_event> events;
-  for (std::size_t s = 0; s < num_sessions; ++s) {
+// Block r of every session that has one, round by round: the
+// concurrent-arrival shape.
+std::vector<offer_event> round_robin(const std::vector<stream_plan>& fleet) {
+  std::size_t rounds = 0;
+  for (const stream_plan& p : fleet) {
+    rounds = std::max(rounds, p.blocks);
+  }
+  std::vector<offer_event> offers;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      if (r < fleet[s].blocks) {
+        offers.push_back({0.0, r, s, r});
+      }
+    }
+  }
+  return offers;
+}
+
+// Every block of every script in arrival order (ties break by session
+// then block index, so the offer order is deterministic even when the
+// timeline has no spread). Each offer is a round of its own.
+std::vector<offer_event> arrival_timeline(
+    const std::vector<sim::session_script>& scripts) {
+  std::vector<offer_event> offers;
+  for (std::size_t s = 0; s < scripts.size(); ++s) {
     for (std::size_t b = 0; b < scripts[s].num_blocks(); ++b) {
-      events.push_back({scripts[s].block_arrival_s(b), s, b});
+      offers.push_back({scripts[s].block_arrival_s(b), 0, s, b});
     }
   }
-  std::sort(events.begin(), events.end(),
-            [](const arrival_event& a, const arrival_event& b) {
-              return std::tie(a.arrival_s, a.session, a.block) <
-                     std::tie(b.arrival_s, b.session, b.block);
+  std::sort(offers.begin(), offers.end(),
+            [](const offer_event& a, const offer_event& b) {
+              return std::tie(a.due_s, a.session, a.block) <
+                     std::tie(b.due_s, b.session, b.block);
             });
-  return events;
+  for (std::size_t i = 0; i < offers.size(); ++i) {
+    offers[i].round = i;
+  }
+  return offers;
 }
 
-struct paced_result {
-  ivc::serve::serve_totals totals;
-  std::vector<std::vector<ivc::defense::stream_event>> verdicts;
-  std::size_t telemetry_samples = 0;  // JSONL lines appended (if sampling)
-};
-
-// Replays the timeline against a LIVE streaming manager: start(workers)
-// first, then every block is offered at arrival_s / pace on the wall
-// clock (an offer that falls behind schedule goes out immediately — a
-// congested replay degrades into a burst, like a real backlogged
-// capture pipe). A session is closed right after its last block, so
-// end-of-stream flushes interleave with later arrivals instead of
-// gathering at the end. An infinite `pace` offers the whole timeline
-// at once: with one worker, that is the determinism reference.
-paced_result run_paced(const std::vector<ivc::sim::session_script>& scripts,
-                       const std::vector<arrival_event>& timeline,
-                       std::size_t num_sessions,
-                       const ivc::serve::serve_config& cfg,
-                       std::size_t workers, double pace,
-                       const std::string& timeseries_path = {}) {
-  using ivc::serve::offer_status;
-  namespace chrono = std::chrono;
-  ivc::serve::session_manager manager{trained_detector_cache(), cfg};
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    manager.open_session();
-  }
-  manager.start(workers);
-  paced_result result;
-  // Background fleet sampler: one telemetry_sample() line per tick
-  // while the paced replay runs, the time-series runlog_report
-  // --metrics summarizes.
-  std::unique_ptr<ivc::obs::fleet_sampler> sampler;
-  if (!timeseries_path.empty()) {
-    ivc::obs::sampler_config sc;
-    sc.path = timeseries_path;
-    sc.interval_s = 0.05;
-    sampler = std::make_unique<ivc::obs::fleet_sampler>(
-        sc, [&manager] { return ivc::serve::telemetry_sample(manager); });
-    sampler->start();
-  }
-  const auto t0 = chrono::steady_clock::now();
-  for (const arrival_event& e : timeline) {
-    const auto due =
-        t0 + chrono::duration_cast<chrono::steady_clock::duration>(
-                 chrono::duration<double>(e.arrival_s / pace));
-    std::this_thread::sleep_until(due);
-    while (manager.offer(e.session, scripts[e.session].block(e.block)) ==
-           offer_status::rejected) {
-      // Backpressure under the reject policy: the streaming workers are
-      // draining concurrently, so yield briefly and retry.
-      std::this_thread::sleep_for(chrono::microseconds(200));
-    }
-    if (e.block + 1 == scripts[e.session].num_blocks()) {
-      manager.close(e.session);
-    }
-  }
-  manager.finish();
-  if (sampler != nullptr) {
-    sampler->stop();  // takes the final end-of-run sample
-    result.telemetry_samples = sampler->samples();
-  }
-  result.totals = manager.aggregate();
-  result.verdicts.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    result.verdicts.push_back(manager.verdicts(s));
-  }
-  return result;
-}
-
-// The full paced protocol: timeline-stamped traffic, an unpaced 1-worker
-// reference, then a paced replay per worker count — each checked
-// bit-identical to the reference.
-int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
-                       std::size_t sessions_override,
-                       const std::string& telemetry_dir) {
-  using namespace ivc;
-  const double pace = 4.0;              // timeline speed-up over real time
-  const double session_rate_hz = 32.0;  // Poisson session starts per second
-  const std::size_t hw = default_thread_count();
-  const std::size_t num_sessions =
-      sessions_override > 0 ? sessions_override
-                            : (smoke ? std::size_t{64} : std::size_t{256});
-  std::vector<std::size_t> workers =
-      smoke ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 2, 4, hw};
-  std::sort(workers.begin(), workers.end());
-  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
-
-  bench::banner("SERVE-paced", smoke
-                                   ? "streaming arrival-paced load (smoke)"
-                                   : "streaming arrival-paced load");
-  bench::json_report report{smoke ? "SERVE-paced-smoke" : "SERVE-paced",
-                            "streaming arrival-paced load"};
-  report.set_signature("serve-paced-v1");
-  report.set_seed(7);
-
-  // ---- Traffic with a deterministic arrival timeline. ----------------
-  sim::traffic_config tc;
-  tc.num_sessions = num_sessions;
-  tc.utterances_per_session = smoke ? 1 : 2;
-  tc.session_rate_hz = session_rate_hz;
-  tc.num_threads = opts.threads;
-  const sim::traffic_generator generator{tc, 7};
-  const std::vector<sim::session_script> scripts = generator.render_all();
-  double fleet_audio_s = 0.0;
-  double timeline_end_s = 0.0;
-  for (const sim::session_script& s : scripts) {
-    fleet_audio_s += s.capture.duration_s();
-    timeline_end_s = std::max(timeline_end_s, s.end_s());
-  }
-  const std::vector<arrival_event> timeline =
-      build_timeline(scripts, num_sessions);
-  bench::note("fleet: %zu streams, %.1f s of audio over a %.1f s timeline "
-              "(Poisson starts at %.0f/s), replayed at %.0fx",
-              scripts.size(), fleet_audio_s, timeline_end_s, session_rate_hz,
-              pace);
-  report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
-  report.add_metric("fleet_audio_s", fleet_audio_s);
-  report.add_metric("timeline_s", timeline_end_s);
-  report.add_metric("pace", pace);
-  report.add_metric("session_rate_hz", session_rate_hz);
-  bench::rule();
-
+// The fleet config of every run but the overload pass: a full session
+// queue pushes back on the producer (reject) instead of shedding.
+serve::serve_config rejecting_fleet() {
   serve::serve_config cfg;
   cfg.queue_capacity = 64;
   cfg.policy = serve::overflow_policy::reject;
+  return cfg;
+}
+
+struct replay_config {
+  serve::serve_config fleet = rejecting_fleet();  // the manager's config
+  // Every session opens with its own command pipeline (segmenter →
+  // shared recognizer → intent) through the per-session config path.
+  bool pipeline = false;
+  std::size_t shards = 1;
+  std::size_t workers = 1;  // per shard
+  // 0: the workers stream from before the first offer, and a rejected
+  // offer retries after 200 µs while they make room. n > 0: no worker
+  // runs except inside a barrier (start, then stop), which comes after
+  // every n-th round and before each retry of a rejected offer.
+  std::size_t barrier_every = 0;
+  // Timeline speed-up over real time: each offer waits for
+  // due_s / pace on the wall clock (an offer behind schedule goes out at
+  // once). Infinite = no waiting.
+  double pace = std::numeric_limits<double>::infinity();
+  std::string timeseries;  // fleet-sampler JSONL path; empty = none
+};
+
+struct fleet_run {
+  serve::serve_totals totals;
+  serve::eviction_stats eviction;
+  serve::shard_balance balance;
+  std::vector<std::vector<defense::stream_event>> verdicts;
+  std::vector<std::vector<serve::command_outcome>> outcomes;
+  std::vector<serve::session_stats> stats;
+  // With a registry in the fleet config: the deterministic counter
+  // subset, and every session's flight recorder with wall-clock fields
+  // zeroed — the two strings the telemetry gate compares.
+  std::string metrics_fingerprint;
+  std::string trace_fingerprint;
+  std::size_t telemetry_samples = 0;  // JSONL lines the sampler appended
+};
+
+// Canonical text form of a fleet's span traces with the wall-clock
+// fields stripped: [[session 0 spans], [session 1 spans], ...].
+std::string fleet_trace_fingerprint(const serve::session_manager& m,
+                                    std::size_t num_sessions) {
+  json::array all;
+  all.reserve(num_sessions);
+  for (std::size_t s = 0; s < num_sessions; ++s) {
+    all.emplace_back(obs::encode_spans(obs::strip_wall_clock(m.trace(s))));
+  }
+  return json::write(json::value{std::move(all)});
+}
+
+// Opens one session per stream, offers `offers` in order under `rc`
+// (closing each session right after its last block, so end-of-stream
+// flushes interleave with later offers), then finish()es the front with
+// rc.workers workers per shard and reads every session back.
+fleet_run replay(const std::vector<stream_plan>& fleet,
+                 const std::vector<offer_event>& offers,
+                 const replay_config& rc) {
+  namespace chrono = std::chrono;
+  serve::session_manager manager{trained_detector_cache(), rc.fleet,
+                                 rc.shards};
+  for (const stream_plan& p : fleet) {
+    if (rc.pipeline) {
+      serve::serve_config per_session = rc.fleet;
+      serve::pipeline_config pipeline;
+      pipeline.recognizer = sim::shared_enrolled_recognizer(
+          p.capture->sample_rate_hz, /*enrollment_seed=*/1);
+      per_session.pipeline = pipeline;  // decision window adopts window_s
+      manager.open_session(per_session);
+    } else {
+      manager.open_session();
+    }
+  }
+  const bool live = rc.barrier_every == 0;
+  const auto barrier = [&] {
+    manager.start(rc.workers);
+    manager.stop();
+  };
+  if (live) {
+    manager.start(rc.workers);
+  }
+  std::unique_ptr<obs::fleet_sampler> sampler;
+  if (!rc.timeseries.empty()) {
+    obs::sampler_config sc;
+    sc.path = rc.timeseries;
+    sc.interval_s = 0.05;
+    sampler = std::make_unique<obs::fleet_sampler>(
+        sc, [&manager] { return serve::telemetry_sample(manager); });
+    sampler->start();
+  }
+  const auto t0 = chrono::steady_clock::now();
+  for (std::size_t i = 0; i < offers.size(); ++i) {
+    const offer_event& e = offers[i];
+    if (std::isfinite(rc.pace)) {
+      std::this_thread::sleep_until(
+          t0 + chrono::duration_cast<chrono::steady_clock::duration>(
+                   chrono::duration<double>(e.due_s / rc.pace)));
+    }
+    const stream_plan& p = fleet[e.session];
+    const audio::buffer block = p.block(e.block);
+    while (manager.offer(e.session, block) == serve::offer_status::rejected) {
+      if (live) {
+        std::this_thread::sleep_for(chrono::microseconds(200));
+      } else {
+        barrier();
+      }
+    }
+    if (e.block + 1 == p.blocks) {
+      manager.close(e.session);
+    }
+    const bool round_ends =
+        i + 1 == offers.size() || offers[i + 1].round != e.round;
+    if (!live && round_ends && (e.round + 1) % rc.barrier_every == 0) {
+      barrier();
+    }
+  }
+  manager.start(rc.workers);  // a no-op while streaming
+  manager.finish();
+  fleet_run r;
+  if (sampler != nullptr) {
+    sampler->stop();  // takes the final end-of-run sample
+    r.telemetry_samples = sampler->samples();
+  }
+  r.totals = manager.aggregate();
+  r.eviction = manager.eviction();
+  r.balance = manager.balance();
+  for (std::size_t s = 0; s < fleet.size(); ++s) {
+    r.verdicts.push_back(manager.verdicts(s));
+    r.outcomes.push_back(manager.outcomes(s));
+    r.stats.push_back(manager.stats(s));
+  }
+  if (rc.fleet.metrics != nullptr) {
+    r.metrics_fingerprint = rc.fleet.metrics->deterministic_fingerprint();
+    r.trace_fingerprint = fleet_trace_fingerprint(manager, fleet.size());
+  }
+  return r;
+}
+
+// True when every session's verdict and outcome streams equal the
+// reference's; each session that differs is reported on stderr.
+bool same_streams(const fleet_run& reference, const fleet_run& run,
+                  const std::string& where) {
+  bool same = true;
+  for (std::size_t s = 0; s < reference.verdicts.size(); ++s) {
+    const bool verdicts = reference.verdicts[s] == run.verdicts[s];
+    if (verdicts && std::ranges::equal(reference.outcomes[s], run.outcomes[s],
+                                       serve::same_decision)) {
+      continue;
+    }
+    same = false;
+    std::fprintf(stderr,
+                 "DETERMINISM VIOLATION: session %zu %s stream differs from "
+                 "the reference (%s)\n",
+                 s, verdicts ? "outcome" : "verdict", where.c_str());
+  }
+  return same;
+}
+
+// FNV-1a over a fleet's verdict streams — the cheap bit-identity
+// fingerprint the scale phase compares across eviction on/off (keeping
+// two full verdict dumps of a 10k-session fleet in memory would dwarf
+// the resident-set budget the phase is demonstrating).
+std::uint64_t fleet_verdict_hash(
+    const std::vector<std::vector<defense::stream_event>>& verdicts) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& stream : verdicts) {
+    const std::size_t n = stream.size();
+    mix(&n, sizeof n);
+    for (const defense::stream_event& e : stream) {
+      // The binding names every field operator== compares: a field
+      // added to stream_event breaks the build here rather than going
+      // unhashed.
+      const auto& [time_s, score, is_attack] = e;
+      mix(&time_s, sizeof time_s);
+      mix(&score, sizeof score);
+      const unsigned char atk = is_attack ? 1 : 0;
+      mix(&atk, 1);
+    }
+  }
+  return h;
+}
+
+// ---- Scoring ----------------------------------------------------------
+
+// Stream-level scoring of one run against the traffic ground truth
+// (session_script::is_attack and intended_command_id).
+struct scorecard {
+  std::size_t attack_streams = 0;
+  std::size_t attack_flagged = 0;   // at least one attack verdict
+  std::size_t attack_executed = 0;  // attacker success: intended ran
+  std::size_t attack_blocked = 0;   // at least one utterance vetoed
+  std::size_t genuine_flagged = 0;  // non-attack streams flagged
+  std::size_t genuine_command_streams = 0;
+  std::size_t genuine_completed = 0;  // intended command executed
+  std::size_t benign_streams = 0;
+  std::size_t benign_executed = 0;  // false execute: nothing was intended
+};
+
+scorecard score(const std::vector<sim::session_script>& scripts,
+                const fleet_run& r) {
+  using kind_t = serve::command_outcome::kind_t;
+  scorecard card;
+  for (std::size_t s = 0; s < r.verdicts.size(); ++s) {
+    const bool flagged =
+        std::ranges::any_of(r.verdicts[s], &defense::stream_event::is_attack);
+    bool intended_executed = false;
+    bool any_executed = false;
+    bool any_blocked = false;
+    for (const serve::command_outcome& o : r.outcomes[s]) {
+      any_blocked = any_blocked || o.kind == kind_t::blocked;
+      if (o.kind == kind_t::executed) {
+        any_executed = true;
+        intended_executed = intended_executed ||
+                            o.command_id == scripts[s].intended_command_id;
+      }
+    }
+    if (scripts[s].is_attack) {
+      ++card.attack_streams;
+      card.attack_flagged += flagged ? 1 : 0;
+      card.attack_executed += intended_executed ? 1 : 0;
+      card.attack_blocked += any_blocked ? 1 : 0;
+      continue;
+    }
+    card.genuine_flagged += flagged ? 1 : 0;
+    if (!scripts[s].intended_command_id.empty()) {
+      ++card.genuine_command_streams;
+      card.genuine_completed += intended_executed ? 1 : 0;
+    } else {
+      ++card.benign_streams;
+      card.benign_executed += any_executed ? 1 : 0;
+    }
+  }
+  return card;
+}
+
+double rate(std::size_t num, std::size_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+// ---- Protocol plumbing ------------------------------------------------
+
+// Fixed worker counts, not hardware-derived, in smoke mode: the 1-vs-N
+// determinism check must exercise real concurrency even on a 1-core box
+// (oversubscribed workers still interleave), and sweeping the same
+// counts everywhere keeps run-log records comparable across machines.
+std::vector<std::size_t> worker_counts(bool smoke) {
+  std::vector<std::size_t> workers =
+      smoke ? std::vector<std::size_t>{1, 4}
+            : std::vector<std::size_t>{1, 2, 4, default_thread_count()};
+  std::sort(workers.begin(), workers.end());
+  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  return workers;
+}
+
+// Prints the protocol banner and opens its report (seed 7; smoke runs
+// carry a "-smoke" suffix on the figure id).
+bench::json_report open_report(const std::string& id,
+                               const std::string& title, bool smoke,
+                               const char* signature) {
+  bench::banner(id.c_str(),
+                smoke ? (title + " (smoke)").c_str() : title.c_str());
+  bench::json_report report{smoke ? id + "-smoke" : id, title};
+  report.set_signature(signature);
+  report.set_seed(7);
+  return report;
+}
+
+// The fleet summary the sweep and e2e protocols print and report.
+void report_fleet(bench::json_report& report, const fleet_traffic& t) {
+  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio",
+              t.scripts.size(), t.attack_streams, t.audio_s);
+  report.add_metric("fleet_streams", static_cast<double>(t.scripts.size()));
+  report.add_metric("fleet_attack_streams",
+                    static_cast<double>(t.attack_streams));
+  report.add_metric("fleet_audio_s", t.audio_s);
+  bench::rule();
+}
+
+// ---- Sweep + overload (serve-load-v1) ---------------------------------
+
+int run_sweep_protocol(const bench::options& opts, bool smoke,
+                       std::size_t sessions_override) {
+  std::vector<std::size_t> session_counts =
+      smoke ? std::vector<std::size_t>{64}
+            : std::vector<std::size_t>{16, 64, 256};
+  if (sessions_override > 0) {
+    session_counts = {sessions_override};
+  }
+  const std::vector<double> block_ms =
+      smoke ? std::vector<double>{50.0} : std::vector<double>{20.0, 50.0, 100.0};
+  const std::vector<std::size_t> workers = worker_counts(smoke);
+
+  bench::json_report report =
+      open_report("SERVE", "multi-stream serving load", smoke,
+                  "serve-load-v1");
+  // ---- Traffic: rendered once at the largest session count. ----------
+  const fleet_traffic traffic = render_traffic(
+      *std::max_element(session_counts.begin(), session_counts.end()),
+      smoke ? 1 : 2, opts.threads);
+  const std::vector<sim::session_script>& scripts = traffic.scripts;
+  report_fleet(report, traffic);
+
+  // The first S sessions cut into `ms`-millisecond blocks, each at its
+  // device's own capture rate: 50 ms of audio on every profile.
+  const auto cut_fleet = [&scripts](std::size_t S, double ms) {
+    std::vector<stream_plan> fleet;
+    for (std::size_t s = 0; s < S; ++s) {
+      const audio::buffer& capture = scripts[s].capture;
+      fleet.push_back(cut_stream(
+          capture, std::max<std::size_t>(
+                       1, static_cast<std::size_t>(
+                              ms * 1e-3 * capture.sample_rate_hz))));
+    }
+    return fleet;
+  };
+
+  // ---- Sweep: sessions × block size × workers. -----------------------
+  // No worker runs between barriers, every 4 rounds.
+  sim::result_table sweep{
+      {"sessions", "block_ms", "workers"},
+      {"audio_s", "shed_blocks", "events"}};
+  bool determinism_ok = true;
+  double serving_detection_rate = 0.0;
+  double serving_fpr = 0.0;
+  for (const std::size_t S : session_counts) {
+    for (const double B : block_ms) {
+      const std::vector<stream_plan> fleet = cut_fleet(S, B);
+      const std::vector<offer_event> offers = round_robin(fleet);
+      replay_config rc;
+      rc.barrier_every = 4;
+      fleet_run reference;  // the 1-worker run of this (S, B)
+      for (const std::size_t W : workers) {
+        rc.workers = W;
+        fleet_run r = replay(fleet, offers, rc);
+        const serve::session_stats& t = r.totals.stats;
+        sweep.add_row({{std::to_string(S), std::to_string(B),
+                        std::to_string(W)},
+                       {static_cast<double>(S), B, static_cast<double>(W)},
+                       {t.audio_s_processed, static_cast<double>(t.blocks_shed),
+                        static_cast<double>(t.events)}});
+        if (W != workers.front()) {
+          determinism_ok =
+              same_streams(reference, r, std::to_string(W) + " workers") &&
+              determinism_ok;
+          continue;
+        }
+        // Serving-level ground truth at the full fleet size: a stream
+        // counts as flagged when any of its verdicts says attack.
+        if (S == session_counts.back() && B == block_ms.front()) {
+          const scorecard card = score(scripts, r);
+          serving_detection_rate =
+              rate(card.attack_flagged, card.attack_streams);
+          serving_fpr = rate(card.genuine_flagged, S - card.attack_streams);
+        }
+        reference = std::move(r);
+      }
+    }
+  }
+  sweep.print();
+  report.add_table("sweep", sweep);
+  report.add_metric("determinism_ok", determinism_ok ? 1.0 : 0.0);
+  report.add_metric("max_sessions",
+                    static_cast<double>(session_counts.back()));
+  report.add_metric("serving_detection_rate", serving_detection_rate);
+  report.add_metric("serving_fpr", serving_fpr);
+  bench::note("serving-level rates at %zu streams: detection %.0f%%, "
+              "false positives %.0f%%",
+              session_counts.back(), 100.0 * serving_detection_rate,
+              100.0 * serving_fpr);
+  bench::rule();
+
+  // ---- Overload: tiny queue bound, shed_newest, sparse barriers. -----
+  // Barriers are the only drains and the producer is single-threaded,
+  // so the shed count follows from the schedule alone: in each window
+  // of `barrier_every` rounds a session keeps `queue_capacity` of the
+  // blocks offered to it and sheds the rest.
+  {
+    const std::vector<stream_plan> fleet =
+        cut_fleet(session_counts.back(), block_ms.front());
+    replay_config rc;
+    rc.fleet.queue_capacity = 4;
+    rc.fleet.policy = serve::overflow_policy::shed_newest;
+    rc.workers = workers.back();
+    rc.barrier_every = 16;
+    std::uint64_t expected_shed = 0;
+    for (const stream_plan& p : fleet) {
+      for (std::size_t first = 0; first < p.blocks;
+           first += rc.barrier_every) {
+        const std::size_t offered =
+            std::min(rc.barrier_every, p.blocks - first);
+        expected_shed += offered - std::min(offered, rc.fleet.queue_capacity);
+      }
+    }
+    const serve::session_stats t = replay(fleet, round_robin(fleet), rc)
+                                       .totals.stats;
+    bench::note("overload (queue=4, drain every 16): %llu of %llu blocks "
+                "shed (%.0f%%)",
+                static_cast<unsigned long long>(t.blocks_shed),
+                static_cast<unsigned long long>(t.blocks_offered),
+                100.0 * rate(t.blocks_shed, t.blocks_offered));
+    report.add_metric("overload_shed_blocks",
+                      static_cast<double>(t.blocks_shed));
+    report.add_metric("overload_shed_fraction",
+                      rate(t.blocks_shed, t.blocks_offered));
+    if (t.blocks_shed != expected_shed) {
+      std::fprintf(stderr,
+                   "OVERLOAD VIOLATION: %llu blocks shed, the schedule "
+                   "sheds exactly %llu\n",
+                   static_cast<unsigned long long>(t.blocks_shed),
+                   static_cast<unsigned long long>(expected_shed));
+      return 1;
+    }
+  }
+
+  bench::rule();
+  bench::note("verdict streams bit-identical at 1 vs N workers: %s",
+              determinism_ok ? "yes" : "NO");
+  bench::note("wrote %s", opts.json_path.c_str());
+  report.write(opts);
+  return determinism_ok ? 0 : 1;
+}
+
+// ---- Paced streaming replay (serve-paced-v1) -------------------------
+
+// Timeline-stamped traffic, an unpaced 1-worker reference, then a paced
+// replay per worker count against live workers — each checked
+// bit-identical to the reference.
+int run_paced_protocol(const bench::options& opts, bool smoke,
+                       std::size_t sessions_override,
+                       const std::string& telemetry_dir) {
+  const double pace = 4.0;              // timeline speed-up over real time
+  const double session_rate_hz = 32.0;  // Poisson session starts per second
+  const std::size_t num_sessions =
+      sessions_override > 0 ? sessions_override
+                            : (smoke ? std::size_t{64} : std::size_t{256});
+  const std::vector<std::size_t> workers = worker_counts(smoke);
+
+  bench::json_report report =
+      open_report("SERVE-paced", "streaming arrival-paced load", smoke,
+                  "serve-paced-v1");
+  // ---- Traffic with a deterministic arrival timeline. ----------------
+  const fleet_traffic traffic = render_traffic(
+      num_sessions, smoke ? 1 : 2, opts.threads, 7, session_rate_hz);
+  bench::note("fleet: %zu streams, %.1f s of audio over a %.1f s timeline "
+              "(Poisson starts at %.0f/s), replayed at %.0fx",
+              traffic.scripts.size(), traffic.audio_s, traffic.timeline_s,
+              session_rate_hz, pace);
+  report.add_metric("fleet_streams",
+                    static_cast<double>(traffic.scripts.size()));
+  report.add_metric("fleet_audio_s", traffic.audio_s);
+  report.add_metric("timeline_s", traffic.timeline_s);
+  report.add_metric("pace", pace);
+  report.add_metric("session_rate_hz", session_rate_hz);
+  bench::rule();
+  const std::vector<stream_plan> fleet = script_streams(traffic.scripts);
+  const std::vector<offer_event> timeline = arrival_timeline(traffic.scripts);
 
   // ---- Unpaced 1-worker reference: the determinism anchor. -----------
-  const auto reference =
-      run_paced(scripts, timeline, num_sessions, cfg, /*workers=*/1,
-                std::numeric_limits<double>::infinity())
-          .verdicts;
-  std::size_t reference_events = 0;
-  for (const auto& v : reference) {
-    reference_events += v.size();
-  }
-  bench::note("unpaced 1-worker reference: %zu verdicts over %zu sessions",
-              reference_events, reference.size());
+  replay_config rc;
+  const fleet_run reference = replay(fleet, timeline, rc);
+  bench::note("unpaced 1-worker reference: %llu verdicts over %zu sessions",
+              static_cast<unsigned long long>(reference.totals.stats.events),
+              reference.verdicts.size());
 
   // ---- Streaming replays: one per worker count. ----------------------
   // Under the reject policy nothing can shed — the backpressure signal
@@ -399,40 +746,33 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
   sim::result_table sweep{{"workers"}, {"rejected_blocks", "events"}};
   bool determinism_ok = true;
   std::size_t telemetry_samples = 0;
+  rc.pace = pace;
   for (const std::size_t W : workers) {
+    rc.workers = W;
     // The last (widest) worker count is the deployment shape; that run
     // carries the background fleet sampler when --telemetry is on.
-    const std::string timeseries =
-        !telemetry_dir.empty() && W == workers.back()
-            ? telemetry_dir + "/paced_timeseries.jsonl"
-            : std::string{};
-    const paced_result r =
-        run_paced(scripts, timeline, num_sessions, cfg, W, pace, timeseries);
-    if (!timeseries.empty()) {
+    rc.timeseries = !telemetry_dir.empty() && W == workers.back()
+                        ? telemetry_dir + "/paced_timeseries.jsonl"
+                        : std::string{};
+    const fleet_run r = replay(fleet, timeline, rc);
+    if (!rc.timeseries.empty()) {
       telemetry_samples = r.telemetry_samples;
       bench::note("fleet sampler: %zu time-series samples -> %s",
-                  r.telemetry_samples, timeseries.c_str());
+                  r.telemetry_samples, rc.timeseries.c_str());
     }
-    for (std::size_t s = 0; s < num_sessions; ++s) {
-      if (!identical_verdicts(reference[s], r.verdicts[s])) {
-        determinism_ok = false;
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: paced session %zu verdicts "
-                     "differ from the reference at %zu workers\n",
-                     s, W);
-      }
-    }
-    const serve::serve_totals& t = r.totals;
-    sim::result_table::row row;
-    row.labels = {std::to_string(W)};
-    row.coords = {static_cast<double>(W)};
-    row.metrics = {static_cast<double>(t.stats.blocks_rejected),
-                   static_cast<double>(t.stats.events)};
-    sweep.add_row(row);
+    determinism_ok = same_streams(reference, r,
+                                  "paced, " + std::to_string(W) +
+                                      " workers") &&
+                     determinism_ok;
+    const serve::session_stats& t = r.totals.stats;
+    sweep.add_row({{std::to_string(W)},
+                   {static_cast<double>(W)},
+                   {static_cast<double>(t.blocks_rejected),
+                    static_cast<double>(t.events)}});
     if (W == workers.back()) {
       report.add_metric("rejected_blocks",
-                        static_cast<double>(t.stats.blocks_rejected));
-      report.add_metric("events", static_cast<double>(t.stats.events));
+                        static_cast<double>(t.blocks_rejected));
+      report.add_metric("events", static_cast<double>(t.events));
     }
   }
   sweep.print();
@@ -455,226 +795,59 @@ int run_paced_protocol(const ivc::bench::options& opts, bool smoke,
 
 // ---- End-to-end command pipeline (serve-e2e-v1) ----------------------
 
-bool identical_outcomes(const std::vector<ivc::serve::command_outcome>& a,
-                        const std::vector<ivc::serve::command_outcome>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // asr_s is wall time — timing, not content — and is the ONLY field
-    // allowed to differ between runs.
-    if (a[i].start_s != b[i].start_s || a[i].end_s != b[i].end_s ||
-        a[i].kind != b[i].kind || a[i].fault != b[i].fault ||
-        a[i].command_id != b[i].command_id || a[i].intent != b[i].intent ||
-        a[i].asr_distance != b[i].asr_distance ||
-        a[i].asr_margin != b[i].asr_margin) {
-      return false;
-    }
-  }
-  return true;
+// The command-pipeline replay the e2e, chaos and shard protocols share:
+// every session carries its own pipeline, offers go round-robin to live
+// workers, and each session closes after its last block.
+replay_config pipeline_replay() {
+  replay_config rc;
+  rc.pipeline = true;
+  return rc;
 }
 
-struct e2e_result {
-  ivc::serve::serve_totals totals;
-  std::vector<std::vector<ivc::defense::stream_event>> verdicts;
-  std::vector<std::vector<ivc::serve::command_outcome>> outcomes;
-  std::vector<ivc::serve::session_stats> stats;  // per-session counters
-  // Telemetry fingerprints (empty unless the run carried a registry):
-  // the deterministic counter subset, and every session's flight
-  // recorder with wall-clock fields zeroed — the two strings the
-  // telemetry gate compares bit-for-bit across runs.
-  std::string metrics_fingerprint;
-  std::string trace_fingerprint;
-};
-
-// Canonical text form of a fleet's span traces with the wall-clock
-// fields stripped: [[session 0 spans], [session 1 spans], ...].
-std::string fleet_trace_fingerprint(const ivc::serve::session_manager& m,
-                                    std::size_t num_sessions) {
-  ivc::json::array all;
-  all.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    all.emplace_back(
-        ivc::obs::encode_spans(ivc::obs::strip_wall_clock(m.trace(s))));
-  }
-  return ivc::json::write(ivc::json::value{std::move(all)});
-}
-
-// Feeds the fleet through a manager whose sessions each carry their OWN
-// config (the per-session override path): the fleet config has no
-// pipeline, every opened session adds one — segmenter → shared
-// recognizer → intent — via open_session(config). Offers go round-robin
-// to `workers` live workers, and each session closes after its last
-// block.
-e2e_result run_e2e(const std::vector<ivc::sim::session_script>& scripts,
-                   std::size_t num_sessions,
-                   const ivc::serve::serve_config& cfg,
-                   std::size_t workers) {
-  using ivc::serve::offer_status;
-  ivc::serve::session_manager manager{trained_detector_cache(), cfg};
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    ivc::serve::serve_config per_session = cfg;
-    ivc::serve::pipeline_config pipeline;
-    pipeline.recognizer = ivc::sim::shared_enrolled_recognizer(
-        scripts[s].capture.sample_rate_hz, /*enrollment_seed=*/1);
-    per_session.pipeline = pipeline;  // decision window adopts window_s
-    manager.open_session(per_session);
-  }
-  manager.start(workers);
-  e2e_result result;
-  std::size_t max_blocks = 0;
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    max_blocks = std::max(max_blocks, scripts[s].num_blocks());
-  }
-  for (std::size_t round = 0; round < max_blocks; ++round) {
-    for (std::size_t s = 0; s < num_sessions; ++s) {
-      if (round >= scripts[s].num_blocks()) {
-        continue;
-      }
-      while (manager.offer(s, scripts[s].block(round)) ==
-             offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (round + 1 == scripts[s].num_blocks()) {
-        manager.close(s);
-      }
-    }
-  }
-  manager.finish();
-  result.totals = manager.aggregate();
-  result.verdicts.reserve(num_sessions);
-  result.outcomes.reserve(num_sessions);
-  result.stats.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    result.verdicts.push_back(manager.verdicts(s));
-    result.outcomes.push_back(manager.outcomes(s));
-    result.stats.push_back(manager.stats(s));
-  }
-  if (cfg.metrics != nullptr) {
-    result.metrics_fingerprint = cfg.metrics->deterministic_fingerprint();
-    result.trace_fingerprint = fleet_trace_fingerprint(manager, num_sessions);
-  }
-  return result;
-}
-
-// Stream-level scoring of one run's outcome streams against the traffic
-// ground truth (session_script::intended_command_id).
-struct e2e_scorecard {
-  std::size_t attack_streams = 0;
-  std::size_t attack_executed = 0;  // attacker success: intended ran
-  std::size_t attack_blocked = 0;   // at least one utterance vetoed
-  std::size_t genuine_command_streams = 0;
-  std::size_t genuine_completed = 0;  // intended command executed
-  std::size_t benign_streams = 0;
-  std::size_t benign_executed = 0;  // false execute: nothing was intended
-};
-
-e2e_scorecard score_e2e(const std::vector<ivc::sim::session_script>& scripts,
-                        const e2e_result& r, std::size_t num_sessions) {
-  e2e_scorecard card;
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    bool intended_executed = false;
-    bool any_executed = false;
-    bool any_blocked = false;
-    for (const ivc::serve::command_outcome& o : r.outcomes[s]) {
-      using kind_t = ivc::serve::command_outcome::kind_t;
-      any_blocked = any_blocked || o.kind == kind_t::blocked;
-      if (o.kind == kind_t::executed) {
-        any_executed = true;
-        intended_executed = intended_executed ||
-                            o.command_id == scripts[s].intended_command_id;
-      }
-    }
-    if (scripts[s].is_attack) {
-      ++card.attack_streams;
-      card.attack_executed += intended_executed ? 1 : 0;
-      card.attack_blocked += any_blocked ? 1 : 0;
-    } else if (!scripts[s].intended_command_id.empty()) {
-      ++card.genuine_command_streams;
-      card.genuine_completed += intended_executed ? 1 : 0;
-    } else {
-      ++card.benign_streams;
-      card.benign_executed += any_executed ? 1 : 0;
-    }
-  }
-  return card;
-}
-
-// The full end-to-end protocol: fleet traffic with ground-truth command
-// labels, a 1-worker reference, then one run per wider worker count —
-// every one checked outcome- and verdict-bit-identical to the
-// reference — reporting attacker success / blocked / genuine
-// completion rates.
-int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
+// Fleet traffic with ground-truth command labels, a 1-worker reference,
+// then one run per wider worker count — every one checked outcome- and
+// verdict-bit-identical to the reference — reporting attacker success /
+// blocked / genuine completion rates.
+int run_e2e_protocol(const bench::options& opts, bool smoke,
                      std::size_t sessions_override,
                      const std::string& telemetry_dir) {
-  using namespace ivc;
   const bool telemetry = !telemetry_dir.empty();
-  const std::size_t hw = default_thread_count();
   const std::size_t num_sessions =
       sessions_override > 0 ? sessions_override
                             : (smoke ? std::size_t{64} : std::size_t{128});
   // With telemetry the worker matrix is pinned to 1/2/8 — the gate
   // compares counter/span fingerprints across exactly these runs, so the
   // records stay comparable across machines.
-  std::vector<std::size_t> workers =
-      telemetry ? std::vector<std::size_t>{1, 2, 8}
-                : (smoke ? std::vector<std::size_t>{1, 4}
-                         : std::vector<std::size_t>{1, 2, 4, hw});
-  std::sort(workers.begin(), workers.end());
-  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  const std::vector<std::size_t> workers =
+      telemetry ? std::vector<std::size_t>{1, 2, 8} : worker_counts(smoke);
 
-  bench::banner("SERVE-e2e", smoke ? "end-to-end command pipeline (smoke)"
-                                   : "end-to-end command pipeline");
-  bench::json_report report{smoke ? "SERVE-e2e-smoke" : "SERVE-e2e",
-                            "end-to-end command pipeline"};
-  report.set_signature("serve-e2e-v1");
-  report.set_seed(7);
-
-  sim::traffic_config tc;
-  tc.num_sessions = num_sessions;
-  tc.utterances_per_session = smoke ? 1 : 2;
-  tc.num_threads = opts.threads;
-  const sim::traffic_generator generator{tc, 7};
-  const std::vector<sim::session_script> scripts = generator.render_all();
-  double fleet_audio_s = 0.0;
-  std::size_t attack_streams = 0;
-  for (const sim::session_script& s : scripts) {
-    fleet_audio_s += s.capture.duration_s();
-    attack_streams += s.is_attack ? 1 : 0;
-  }
-  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio",
-              scripts.size(), attack_streams, fleet_audio_s);
-  report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
-  report.add_metric("fleet_attack_streams",
-                    static_cast<double>(attack_streams));
-  report.add_metric("fleet_audio_s", fleet_audio_s);
-  bench::rule();
-
-  serve::serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = serve::overflow_policy::reject;
+  bench::json_report report =
+      open_report("SERVE-e2e", "end-to-end command pipeline", smoke,
+                  "serve-e2e-v1");
+  const fleet_traffic traffic =
+      render_traffic(num_sessions, smoke ? 1 : 2, opts.threads);
+  report_fleet(report, traffic);
+  const std::vector<stream_plan> fleet = script_streams(traffic.scripts);
+  const std::vector<offer_event> offers = round_robin(fleet);
 
   // Every telemetry run gets its OWN registry (end-of-run counter values
   // are what the gate compares — a shared registry would accumulate).
-  std::shared_ptr<obs::metrics_registry> reference_registry;
-  const auto telemetry_cfg = [&](std::shared_ptr<obs::metrics_registry>* out) {
-    serve::serve_config c = cfg;
-    if (telemetry) {
-      auto reg = std::make_shared<obs::metrics_registry>();
-      c.metrics = reg;
-      if (out != nullptr) {
-        *out = std::move(reg);
-      }
-    }
-    return c;
+  const auto run = [&](std::size_t W,
+                       std::shared_ptr<obs::metrics_registry> registry) {
+    replay_config rc = pipeline_replay();
+    rc.workers = W;
+    rc.fleet.metrics = std::move(registry);
+    return replay(fleet, offers, rc);
+  };
+  const auto fresh_registry = [telemetry] {
+    return telemetry ? std::make_shared<obs::metrics_registry>() : nullptr;
   };
 
   // ---- Reference: 1 worker. ------------------------------------------
-  const e2e_result reference =
-      run_e2e(scripts, num_sessions, telemetry_cfg(&reference_registry),
-              /*workers=*/1);
-  const e2e_scorecard card = score_e2e(scripts, reference, num_sessions);
+  const std::shared_ptr<obs::metrics_registry> reference_registry =
+      fresh_registry();
+  const fleet_run reference = run(1, reference_registry);
+  const scorecard card = score(traffic.scripts, reference);
 
   // ---- Replays: one per worker count, all bit-identical to the -------
   // reference in outcomes AND verdicts.
@@ -682,9 +855,7 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
   bool telemetry_ok = true;
   sim::result_table sweep{{"workers"}, {"utterances", "executed", "blocked"}};
   for (const std::size_t W : workers) {
-    const e2e_result r =
-        W != 1 ? run_e2e(scripts, num_sessions, telemetry_cfg(nullptr), W)
-               : reference;
+    const fleet_run r = W != 1 ? run(W, fresh_registry()) : reference;
     if (telemetry && W != 1) {
       // The telemetry gate proper: the deterministic counter subset and
       // the wall-stripped span traces must reproduce the reference
@@ -706,39 +877,25 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
                      W);
       }
     }
-    for (std::size_t s = 0; s < num_sessions; ++s) {
-      if (!identical_verdicts(reference.verdicts[s], r.verdicts[s]) ||
-          !identical_outcomes(reference.outcomes[s], r.outcomes[s])) {
-        determinism_ok = false;
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: e2e session %zu %s differs "
-                     "from the 1-worker reference (%zu workers)\n",
-                     s,
-                     identical_verdicts(reference.verdicts[s], r.verdicts[s])
-                         ? "outcome stream"
-                         : "verdict stream",
-                     W);
-      }
-    }
-    const serve::serve_totals& t = r.totals;
-    sim::result_table::row row;
-    row.labels = {std::to_string(W)};
-    row.coords = {static_cast<double>(W)};
-    row.metrics = {static_cast<double>(t.stats.utterances),
-                   static_cast<double>(t.stats.commands_executed),
-                   static_cast<double>(t.stats.commands_blocked)};
-    sweep.add_row(row);
+    determinism_ok =
+        same_streams(reference, r, "e2e, " + std::to_string(W) + " workers") &&
+        determinism_ok;
+    const serve::session_stats& t = r.totals.stats;
+    sweep.add_row({{std::to_string(W)},
+                   {static_cast<double>(W)},
+                   {static_cast<double>(t.utterances),
+                    static_cast<double>(t.commands_executed),
+                    static_cast<double>(t.commands_blocked)}});
     if (W == workers.back()) {
-      report.add_metric("utterances",
-                        static_cast<double>(t.stats.utterances));
+      report.add_metric("utterances", static_cast<double>(t.utterances));
       report.add_metric("commands_blocked",
-                        static_cast<double>(t.stats.commands_blocked));
+                        static_cast<double>(t.commands_blocked));
       report.add_metric("commands_executed",
-                        static_cast<double>(t.stats.commands_executed));
+                        static_cast<double>(t.commands_executed));
       report.add_metric("commands_rejected",
-                        static_cast<double>(t.stats.commands_rejected));
+                        static_cast<double>(t.commands_rejected));
       report.add_metric("commands_ignored",
-                        static_cast<double>(t.stats.commands_ignored));
+                        static_cast<double>(t.commands_ignored));
     }
   }
   sweep.print();
@@ -746,18 +903,13 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
   bench::rule();
 
   // ---- Stream-level scoring against the traffic ground truth. --------
-  const auto rate = [](std::size_t num, std::size_t den) {
-    return den > 0 ? static_cast<double>(num) / static_cast<double>(den)
-                   : 0.0;
-  };
-  const double attacker_success = rate(card.attack_executed,
-                                       card.attack_streams);
-  const double attack_blocked = rate(card.attack_blocked,
-                                     card.attack_streams);
-  const double genuine_completion = rate(card.genuine_completed,
-                                         card.genuine_command_streams);
-  const double benign_false_execute = rate(card.benign_executed,
-                                           card.benign_streams);
+  const double attacker_success =
+      rate(card.attack_executed, card.attack_streams);
+  const double attack_blocked = rate(card.attack_blocked, card.attack_streams);
+  const double genuine_completion =
+      rate(card.genuine_completed, card.genuine_command_streams);
+  const double benign_false_execute =
+      rate(card.benign_executed, card.benign_streams);
   bench::note("attack streams: %zu — %.0f%% blocked by the defense, "
               "%.0f%% still executed their command (attacker success)",
               card.attack_streams, 100.0 * attack_blocked,
@@ -829,9 +981,9 @@ int run_e2e_protocol(const ivc::bench::options& opts, bool smoke,
 
 // Per-session fault exposure of one run: how many sessions saw at least
 // one injected/contained fault of any kind.
-std::size_t sessions_with_faults(const e2e_result& r) {
+std::size_t sessions_with_faults(const fleet_run& r) {
   std::size_t n = 0;
-  for (const ivc::serve::session_stats& st : r.stats) {
+  for (const serve::session_stats& st : r.stats) {
     const std::uint64_t faults = st.detector_faults + st.recognizer_faults +
                                  st.corrupt_blocks + st.asr_deadline_overruns;
     n += faults > 0 ? 1 : 0;
@@ -851,10 +1003,9 @@ std::size_t sessions_with_faults(const e2e_result& r) {
 //     std::terminate), and in smoke mode the top fault scale must
 //     actually exercise the machinery: ≥25% of sessions carry faults and
 //     attacker success stays 0%.
-int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
+int run_chaos_protocol(const bench::options& opts, bool smoke,
                        std::size_t sessions_override,
                        const std::string& telemetry_dir) {
-  using namespace ivc;
   const std::size_t num_sessions =
       sessions_override > 0 ? sessions_override
                             : (smoke ? std::size_t{64} : std::size_t{128});
@@ -865,36 +1016,23 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
       smoke ? std::vector<double>{0.0, 1.0}
             : std::vector<double>{0.0, 0.25, 1.0, 2.0};
 
-  bench::banner("SERVE-chaos", smoke ? "fault-injection sweep (smoke)"
-                                     : "fault-injection sweep");
-  bench::json_report report{smoke ? "SERVE-chaos-smoke" : "SERVE-chaos",
-                            "fault-injection sweep"};
-  report.set_signature("serve-chaos-v1");
-  report.set_seed(7);
-
-  sim::traffic_config tc;
-  tc.num_sessions = num_sessions;
-  tc.utterances_per_session = smoke ? 1 : 2;
-  tc.num_threads = opts.threads;
-  const sim::traffic_generator generator{tc, 7};
-  (void)trained_detector_cache();
-  (void)sim::shared_enrolled_recognizer(16'000.0, 1);
-  const std::vector<sim::session_script> scripts = generator.render_all();
-  std::size_t attack_streams = 0;
-  for (const sim::session_script& s : scripts) {
-    attack_streams += s.is_attack ? 1 : 0;
-  }
+  bench::json_report report = open_report(
+      "SERVE-chaos", "fault-injection sweep", smoke, "serve-chaos-v1");
+  const fleet_traffic traffic =
+      render_traffic(num_sessions, smoke ? 1 : 2, opts.threads);
   bench::note("fleet: %zu streams (%zu attack), fault scales ×%zu, "
               "workers 1/2/8",
-              scripts.size(), attack_streams, fault_scales.size());
-  report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
+              traffic.scripts.size(), traffic.attack_streams,
+              fault_scales.size());
+  report.add_metric("fleet_streams",
+                    static_cast<double>(traffic.scripts.size()));
   report.add_metric("fleet_attack_streams",
-                    static_cast<double>(attack_streams));
+                    static_cast<double>(traffic.attack_streams));
   bench::rule();
+  const std::vector<stream_plan> fleet = script_streams(traffic.scripts);
+  const std::vector<offer_event> offers = round_robin(fleet);
 
-  serve::serve_config base_cfg;
-  base_cfg.queue_capacity = 64;
-  base_cfg.policy = serve::overflow_policy::reject;
+  replay_config base = pipeline_replay();
   // With --telemetry every quarantine across every run dumps its flight
   // recorder to one JSONL file — the chaos run's black-box artifact.
   std::shared_ptr<obs::jsonl_trace_sink> trace_sink;
@@ -902,7 +1040,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
     const std::string dump_path = telemetry_dir + "/quarantine_traces.jsonl";
     std::filesystem::remove(dump_path);  // append-only sink: start fresh
     trace_sink = std::make_shared<obs::jsonl_trace_sink>(dump_path);
-    base_cfg.trace_sink = trace_sink;
+    base.fleet.trace_sink = trace_sink;
   }
 
   bool determinism_ok = true;
@@ -918,7 +1056,7 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
        "recognizer_faults", "corrupt_blocks", "overruns", "shed_degraded",
        "failed_closed", "executed", "attacker_success"}};
   for (const double scale : fault_scales) {
-    serve::serve_config cfg = base_cfg;
+    replay_config rc = base;
     if (scale > 0.0) {
       serve::fault_config fc;
       fc.seed = 7;
@@ -932,38 +1070,28 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
       // enough that the site reliably fires in a 64-session smoke.
       fc.recognizer_throw_rate = std::min(1.0, 0.35 * scale);
       fc.recognizer_overrun_rate = std::min(1.0, 0.25 * scale);
-      cfg.faults = std::make_shared<serve::fault_injector>(fc);
+      rc.fleet.faults = std::make_shared<serve::fault_injector>(fc);
     }
 
     // Reference: 1 worker under this exact fault schedule.
-    const e2e_result reference =
-        run_e2e(scripts, num_sessions, cfg, /*workers=*/1);
-    const e2e_scorecard card = score_e2e(scripts, reference, num_sessions);
+    const fleet_run reference = replay(fleet, offers, rc);
+    const scorecard card = score(traffic.scripts, reference);
     const double attacker_success =
-        card.attack_streams > 0
-            ? static_cast<double>(card.attack_executed) /
-                  static_cast<double>(card.attack_streams)
-            : 0.0;
-    const double benign_false =
-        card.benign_streams > 0
-            ? static_cast<double>(card.benign_executed) /
-                  static_cast<double>(card.benign_streams)
-            : 0.0;
+        rate(card.attack_executed, card.attack_streams);
+    const double benign_false = rate(card.benign_executed, card.benign_streams);
     if (scale == 0.0) {
       clean_attacker_success = attacker_success;
       clean_benign_false = benign_false;
-    } else {
+    } else if (attacker_success > clean_attacker_success ||
+               benign_false > clean_benign_false) {
       // Fail-closed: faults may only ever SHRINK the executed set.
-      if (attacker_success > clean_attacker_success ||
-          benign_false > clean_benign_false) {
-        fail_closed_ok = false;
-        std::fprintf(stderr,
-                     "FAIL-CLOSED VIOLATION: fault scale %.2f raised "
-                     "attacker success %.3f→%.3f / benign false execute "
-                     "%.3f→%.3f\n",
-                     scale, clean_attacker_success, attacker_success,
-                     clean_benign_false, benign_false);
-      }
+      fail_closed_ok = false;
+      std::fprintf(stderr,
+                   "FAIL-CLOSED VIOLATION: fault scale %.2f raised "
+                   "attacker success %.3f→%.3f / benign false execute "
+                   "%.3f→%.3f\n",
+                   scale, clean_attacker_success, attacker_success,
+                   clean_benign_false, benign_false);
     }
     const double fault_fraction =
         static_cast<double>(sessions_with_faults(reference)) /
@@ -974,36 +1102,28 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
     }
 
     for (const std::size_t W : workers) {
-      const e2e_result r =
-          W != 1 ? run_e2e(scripts, num_sessions, cfg, W) : reference;
-      for (std::size_t s = 0; s < num_sessions; ++s) {
-        if (!identical_verdicts(reference.verdicts[s], r.verdicts[s]) ||
-            !identical_outcomes(reference.outcomes[s], r.outcomes[s])) {
-          determinism_ok = false;
-          std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: chaos session %zu differs "
-                       "from the 1-worker reference (scale %.2f, %zu "
-                       "workers)\n",
-                       s, scale, W);
-        }
-      }
+      rc.workers = W;
+      const fleet_run r = W != 1 ? replay(fleet, offers, rc) : reference;
+      determinism_ok = same_streams(reference, r,
+                                    "chaos scale " + std::to_string(scale) +
+                                        ", " + std::to_string(W) +
+                                        " workers") &&
+                       determinism_ok;
       const serve::session_stats& t = r.totals.stats;
       total_quarantines += t.quarantines;
-      sim::result_table::row row;
-      row.labels = {std::to_string(scale), std::to_string(W)};
-      row.coords = {scale, static_cast<double>(W)};
-      row.metrics = {static_cast<double>(sessions_with_faults(r)),
-                     static_cast<double>(t.quarantines),
-                     static_cast<double>(t.reopens),
-                     static_cast<double>(t.detector_faults),
-                     static_cast<double>(t.recognizer_faults),
-                     static_cast<double>(t.corrupt_blocks),
-                     static_cast<double>(t.asr_deadline_overruns),
-                     static_cast<double>(t.utterances_shed_degraded),
-                     static_cast<double>(t.utterances_failed_closed),
-                     static_cast<double>(t.commands_executed),
-                     attacker_success};
-      sweep.add_row(row);
+      sweep.add_row({{std::to_string(scale), std::to_string(W)},
+                     {scale, static_cast<double>(W)},
+                     {static_cast<double>(sessions_with_faults(r)),
+                      static_cast<double>(t.quarantines),
+                      static_cast<double>(t.reopens),
+                      static_cast<double>(t.detector_faults),
+                      static_cast<double>(t.recognizer_faults),
+                      static_cast<double>(t.corrupt_blocks),
+                      static_cast<double>(t.asr_deadline_overruns),
+                      static_cast<double>(t.utterances_shed_degraded),
+                      static_cast<double>(t.utterances_failed_closed),
+                      static_cast<double>(t.commands_executed),
+                      attacker_success}});
     }
   }
   sweep.print();
@@ -1069,137 +1189,30 @@ int run_chaos_protocol(const ivc::bench::options& opts, bool smoke,
 
 // ---- Sharded front + snapshot/eviction (serve-shard-v1) --------------
 
-struct shard_run_result {
-  ivc::serve::serve_totals totals;
-  ivc::serve::eviction_stats eviction;
-  ivc::serve::shard_balance balance;
-  std::vector<std::vector<ivc::defense::stream_event>> verdicts;
-  std::vector<std::vector<ivc::serve::command_outcome>> outcomes;
-};
-
-// Phase-A runner: the e2e fleet (per-session pipeline overrides, like
-// run_e2e) through a sharded session_manager. Every knob of the identity
-// matrix is a parameter: shard count, per-shard workers, per-shard
-// residency bound, fault injector (shard_kill).
-shard_run_result run_sharded(
-    const std::vector<ivc::sim::session_script>& scripts,
-    std::size_t num_sessions, std::size_t shards, std::size_t workers,
-    std::size_t max_resident,
-    std::shared_ptr<const ivc::serve::fault_injector> faults) {
-  using ivc::serve::offer_status;
-  ivc::serve::serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = ivc::serve::overflow_policy::reject;
-  cfg.max_resident_sessions = max_resident;
-  cfg.faults = faults;
-  ivc::serve::session_manager front{trained_detector_cache(), cfg, shards};
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    ivc::serve::serve_config per_session = cfg;
-    ivc::serve::pipeline_config pipeline;
-    pipeline.recognizer = ivc::sim::shared_enrolled_recognizer(
-        scripts[s].capture.sample_rate_hz, /*enrollment_seed=*/1);
-    per_session.pipeline = pipeline;
-    front.open_session(per_session);
-  }
-  front.start(workers);
-  shard_run_result result;
-  std::size_t max_blocks = 0;
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    max_blocks = std::max(max_blocks, scripts[s].num_blocks());
-  }
-  for (std::size_t round = 0; round < max_blocks; ++round) {
-    for (std::size_t s = 0; s < num_sessions; ++s) {
-      if (round >= scripts[s].num_blocks()) {
-        continue;
-      }
-      while (front.offer(s, scripts[s].block(round)) ==
-             offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (round + 1 == scripts[s].num_blocks()) {
-        front.close(s);
-      }
-    }
-  }
-  front.finish();
-  result.totals = front.aggregate();
-  result.eviction = front.eviction();
-  result.balance = front.balance();
-  result.verdicts.reserve(num_sessions);
-  result.outcomes.reserve(num_sessions);
-  for (std::size_t s = 0; s < num_sessions; ++s) {
-    result.verdicts.push_back(front.verdicts(s));
-    result.outcomes.push_back(front.outcomes(s));
-  }
-  return result;
-}
-
-// FNV-1a over a fleet's verdict streams — the cheap bit-identity
-// fingerprint the scale phase compares across eviction on/off (keeping
-// two full verdict dumps of a 10k-session fleet in memory would dwarf
-// the resident-set budget the phase is demonstrating).
-std::uint64_t fleet_verdict_hash(
-    const std::vector<std::vector<ivc::defense::stream_event>>& verdicts) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const auto& stream : verdicts) {
-    const std::size_t n = stream.size();
-    mix(&n, sizeof n);
-    for (const ivc::defense::stream_event& e : stream) {
-      mix(&e.time_s, sizeof e.time_s);
-      mix(&e.score, sizeof e.score);
-      const unsigned char atk = e.is_attack ? 1 : 0;
-      mix(&atk, 1);
-    }
-  }
-  return h;
-}
-
 // The shard protocol. Phase A: identity matrix on a small e2e fleet.
 // Phase B: the million-session (smoke: 10k) bursty scale run with a
 // bounded resident set, plus an eviction-on/off hash check on a
 // sub-fleet.
-int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
+int run_shard_protocol(const bench::options& opts, bool smoke,
                        std::size_t sessions_override,
                        const std::string& telemetry_dir) {
-  using namespace ivc;
   const std::size_t hw = default_thread_count();
-
-  bench::banner("SERVE-shard",
-                smoke ? "sharded front + snapshot eviction (smoke)"
-                      : "sharded front + snapshot eviction");
-  bench::json_report report{smoke ? "SERVE-shard-smoke" : "SERVE-shard",
-                            "sharded front + snapshot eviction"};
-  report.set_signature("serve-shard-v1");
-  report.set_seed(7);
+  bench::json_report report =
+      open_report("SERVE-shard", "sharded front + snapshot eviction", smoke,
+                  "serve-shard-v1");
 
   // ---- Phase A: the identity matrix. ---------------------------------
+  // Every knob of the matrix is a replay parameter: shard count,
+  // per-shard workers, per-shard residency bound, shard_kill faults.
   const std::size_t matrix_sessions = smoke ? 32 : 48;
-  sim::traffic_config tc;
-  tc.num_sessions = matrix_sessions;
-  tc.utterances_per_session = 1;
-  tc.num_threads = opts.threads;
-  const sim::traffic_generator generator{tc, 7};
-  (void)trained_detector_cache();
-  (void)sim::shared_enrolled_recognizer(16'000.0, 1);
-  const std::vector<sim::session_script> scripts = generator.render_all();
-
-  const shard_run_result reference =
-      run_sharded(scripts, matrix_sessions, /*shards=*/1, /*workers=*/1,
-                  /*max_resident=*/0, nullptr);
-  std::size_t reference_events = 0;
-  for (const auto& v : reference.verdicts) {
-    reference_events += v.size();
-  }
+  const fleet_traffic traffic =
+      render_traffic(matrix_sessions, 1, opts.threads);
+  const std::vector<stream_plan> fleet = script_streams(traffic.scripts);
+  const std::vector<offer_event> offers = round_robin(fleet);
+  const fleet_run reference = replay(fleet, offers, pipeline_replay());
   bench::note("identity reference (1 shard, 1 worker, no eviction): "
-              "%zu verdicts, %llu outcomes over %zu sessions",
-              reference_events,
+              "%llu verdicts, %llu outcomes over %zu sessions",
+              static_cast<unsigned long long>(reference.totals.stats.events),
               static_cast<unsigned long long>(
                   reference.totals.stats.utterances),
               matrix_sessions);
@@ -1224,27 +1237,18 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
                            {"shards", "workers", "bound", "evictions",
                             "rehydrations", "shard_kills", "identical"}};
   for (const variant& v : variants) {
-    std::shared_ptr<const serve::fault_injector> faults;
+    replay_config rc = pipeline_replay();
+    rc.shards = v.shards;
+    rc.workers = v.workers;
+    rc.fleet.max_resident_sessions = v.max_resident;
     if (v.shard_kill_rate > 0.0) {
       serve::fault_config fc;
       fc.seed = 7;
       fc.shard_kill_rate = v.shard_kill_rate;
-      faults = std::make_shared<serve::fault_injector>(fc);
+      rc.fleet.faults = std::make_shared<serve::fault_injector>(fc);
     }
-    const shard_run_result r =
-        run_sharded(scripts, matrix_sessions, v.shards, v.workers,
-                    v.max_resident, faults);
-    bool same = true;
-    for (std::size_t s = 0; s < matrix_sessions; ++s) {
-      if (!identical_verdicts(reference.verdicts[s], r.verdicts[s]) ||
-          !identical_outcomes(reference.outcomes[s], r.outcomes[s])) {
-        same = false;
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: session %zu streams differ "
-                     "from the unsharded reference (%s)\n",
-                     s, v.name);
-      }
-    }
+    const fleet_run r = replay(fleet, offers, rc);
+    const bool same = same_streams(reference, r, v.name);
     identity_ok = identity_ok && same;
     std::uint64_t kills = 0;
     for (const serve::shard_load& l : r.balance.shards) {
@@ -1261,17 +1265,14 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
       eviction_engaged_ok = false;
       std::fprintf(stderr, "VACUOUS VARIANT: %s killed no shard\n", v.name);
     }
-    sim::result_table::row row;
-    row.labels = {v.name};
-    row.coords = {static_cast<double>(matrix.rows().size())};
-    row.metrics = {static_cast<double>(v.shards),
-                   static_cast<double>(v.workers),
-                   static_cast<double>(v.max_resident),
-                   static_cast<double>(r.eviction.evictions),
-                   static_cast<double>(r.eviction.rehydrations),
-                   static_cast<double>(kills),
-                   same ? 1.0 : 0.0};
-    matrix.add_row(row);
+    matrix.add_row({{v.name},
+                    {static_cast<double>(matrix.rows().size())},
+                    {static_cast<double>(v.shards),
+                     static_cast<double>(v.workers),
+                     static_cast<double>(v.max_resident),
+                     static_cast<double>(r.eviction.evictions),
+                     static_cast<double>(r.eviction.rehydrations),
+                     static_cast<double>(kills), same ? 1.0 : 0.0}});
   }
   matrix.print();
   report.add_table("identity_matrix", matrix);
@@ -1306,35 +1307,22 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   const std::size_t resident_watermark = bound_total + 64;
   const std::size_t resident_cap = bound_total + bound_total / 2;
 
-  const std::size_t pool_size = 32;
-  sim::traffic_config pool_tc;
-  pool_tc.num_sessions = pool_size;
-  pool_tc.utterances_per_session = 1;
-  pool_tc.num_threads = opts.threads;
-  const sim::traffic_generator pool_generator{pool_tc, 11};
-  const std::vector<sim::session_script> pool = pool_generator.render_all();
-
-  const std::size_t block_samples = 2'048;
+  const fleet_traffic pool = render_traffic(32, 1, opts.threads, 11);
   const std::size_t blocks_per_burst = 3;
   const std::size_t num_bursts = 2;
-  const auto pool_block = [&](std::size_t session, std::size_t index)
-      -> std::optional<audio::buffer> {
-    const audio::buffer& capture = pool[session % pool.size()].capture;
-    const std::size_t start = index * block_samples;
-    if (start >= capture.size()) {
-      return std::nullopt;
-    }
-    const std::size_t end =
-        std::min(start + block_samples, capture.size());
-    return audio::buffer{
-        {capture.samples.begin() + static_cast<std::ptrdiff_t>(start),
-         capture.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-        capture.sample_rate_hz};
+  // Session s plays pool stream s % 32, cut into 2048-sample blocks, of
+  // which it offers at most the first two bursts' worth.
+  std::vector<stream_plan> pool_streams;
+  for (const sim::session_script& s : pool.scripts) {
+    pool_streams.push_back(
+        cut_stream(s.capture, 2'048, num_bursts * blocks_per_burst));
+  }
+  const auto pool_stream =
+      [&pool_streams](std::size_t s) -> const stream_plan& {
+    return pool_streams[s % pool_streams.size()];
   };
 
-  serve::serve_config scale_cfg;
-  scale_cfg.queue_capacity = 64;
-  scale_cfg.policy = serve::overflow_policy::reject;
+  serve::serve_config scale_cfg = rejecting_fleet();
   scale_cfg.max_resident_sessions = bound_per_shard;
   serve::session_manager front{trained_detector_cache(), scale_cfg,
                                scale_shards};
@@ -1361,24 +1349,21 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
     sampler->start();
   }
   std::size_t peak_resident = 0;
-  std::uint64_t offers = 0;
+  std::uint64_t offers_made = 0;
   std::uint64_t rejected_retries = 0;
   std::uint64_t throttle_us = 0;
   std::uint64_t throttle_sleeps = 0;
   for (std::size_t burst = 0; burst < num_bursts; ++burst) {
     for (std::size_t s = 0; s < scale_sessions; ++s) {
-      for (std::size_t b = 0; b < blocks_per_burst; ++b) {
-        const std::optional<audio::buffer> block =
-            pool_block(s, burst * blocks_per_burst + b);
-        if (!block.has_value()) {
-          continue;
-        }
-        while (front.offer(s, *block) ==
-               serve::offer_status::rejected) {
+      const stream_plan& p = pool_stream(s);
+      for (std::size_t b = burst * blocks_per_burst;
+           b < std::min(p.blocks, (burst + 1) * blocks_per_burst); ++b) {
+        const audio::buffer block = p.block(b);
+        while (front.offer(s, block) == serve::offer_status::rejected) {
           ++rejected_retries;
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
-        ++offers;
+        ++offers_made;
       }
       // The client hangs up at the end of its last burst: the flush
       // lands while the session is still resident, so once the workers
@@ -1424,13 +1409,10 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   const serve::shard_balance balance = front.balance();
   const bool bounded_ok = peak_resident <= resident_cap;
 
-  const double eviction_rate =
-      offers > 0 ? static_cast<double>(ev.evictions) /
-                       static_cast<double>(offers)
-                 : 0.0;
+  const double eviction_rate = rate(ev.evictions, offers_made);
   bench::note("replayed %llu offers, %llu rejected-retry stalls, %llu "
               "throttle sleeps",
-              static_cast<unsigned long long>(offers),
+              static_cast<unsigned long long>(offers_made),
               static_cast<unsigned long long>(rejected_retries),
               static_cast<unsigned long long>(throttle_sleeps));
   bench::note("evictions %llu (%.2f per offer), rehydrations %llu, "
@@ -1446,14 +1428,12 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
                                  "rehydrations"}};
   for (std::size_t i = 0; i < balance.shards.size(); ++i) {
     const serve::shard_load& l = balance.shards[i];
-    sim::result_table::row row;
-    row.labels = {std::to_string(i)};
-    row.coords = {static_cast<double>(i)};
-    row.metrics = {static_cast<double>(l.sessions),
-                   static_cast<double>(l.offers),
-                   static_cast<double>(l.evictions),
-                   static_cast<double>(l.rehydrations)};
-    shard_table.add_row(row);
+    shard_table.add_row({{std::to_string(i)},
+                         {static_cast<double>(i)},
+                         {static_cast<double>(l.sessions),
+                          static_cast<double>(l.offers),
+                          static_cast<double>(l.evictions),
+                          static_cast<double>(l.rehydrations)}});
   }
   shard_table.print();
   report.add_table("shard_balance", shard_table);
@@ -1463,43 +1443,29 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
 
   // ---- Eviction-on/off hash check on a sub-fleet. --------------------
   // A full double scale run would double the protocol's wall time; the
-  // sub-fleet re-runs the exact burst pattern at both settings and the
-  // verdict-stream hashes must agree bit-for-bit (phase A already pins
-  // eviction invisibility with full stream compares — this extends the
-  // check to the scale pattern itself).
+  // sub-fleet replays the pool's blocks round by round, with a barrier
+  // after each round, at both settings, and the verdict-stream hashes
+  // must agree bit-for-bit (phase A already pins eviction invisibility
+  // with full stream compares — this extends the check to the scale
+  // front's shape and its script pool).
   const std::size_t hash_sessions =
       std::min<std::size_t>(512, std::max<std::size_t>(64,
                                                        scale_sessions / 16));
+  std::vector<stream_plan> sub_fleet;
+  for (std::size_t s = 0; s < hash_sessions; ++s) {
+    sub_fleet.push_back(pool_stream(s));
+  }
+  const std::vector<offer_event> sub_offers = round_robin(sub_fleet);
   const auto hash_run = [&](std::size_t bound) {
-    serve::serve_config cfg = scale_cfg;
-    cfg.max_resident_sessions = bound;
-    serve::session_manager sub{trained_detector_cache(), cfg, scale_shards};
-    for (std::size_t s = 0; s < hash_sessions; ++s) {
-      sub.open_session();
-    }
-    for (std::size_t index = 0; index < num_bursts * blocks_per_burst;
-         ++index) {
-      for (std::size_t s = 0; s < hash_sessions; ++s) {
-        const std::optional<audio::buffer> block = pool_block(s, index);
-        if (!block.has_value()) {
-          continue;
-        }
-        while (sub.offer(s, *block) == serve::offer_status::rejected) {
-          sub.start(2);
-          sub.stop();
-        }
-      }
-      sub.start(2);
-      sub.stop();
-    }
-    sub.finish();
-    std::vector<std::vector<defense::stream_event>> verdicts;
-    verdicts.reserve(hash_sessions);
-    for (std::size_t s = 0; s < hash_sessions; ++s) {
-      verdicts.push_back(sub.verdicts(s));
-    }
-    return std::make_pair(fleet_verdict_hash(verdicts),
-                          sub.eviction().evictions);
+    replay_config rc;
+    rc.fleet = scale_cfg;
+    rc.fleet.max_resident_sessions = bound;
+    rc.shards = scale_shards;
+    rc.workers = 2;
+    rc.barrier_every = 1;
+    const fleet_run r = replay(sub_fleet, sub_offers, rc);
+    return std::make_pair(fleet_verdict_hash(r.verdicts),
+                          r.eviction.evictions);
   };
   const auto [hash_evict, evictions_on] = hash_run(/*bound=*/16);
   const auto [hash_free, evictions_off] = hash_run(/*bound=*/0);
@@ -1521,7 +1487,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
   report.add_metric("resident_cap", static_cast<double>(resident_cap));
   report.add_metric("peak_resident", static_cast<double>(peak_resident));
   report.add_metric("bounded_ok", bounded_ok ? 1.0 : 0.0);
-  report.add_metric("offers", static_cast<double>(offers));
+  report.add_metric("offers", static_cast<double>(offers_made));
   report.add_metric("evictions", static_cast<double>(ev.evictions));
   report.add_metric("rehydrations", static_cast<double>(ev.rehydrations));
   report.add_metric("eviction_rate", eviction_rate);
@@ -1553,6 +1519,7 @@ int run_shard_protocol(const ivc::bench::options& opts, bool smoke,
 }
 
 }  // namespace
+}  // namespace ivc
 
 int main(int argc, char** argv) {
   using namespace ivc;
@@ -1604,171 +1571,5 @@ int main(int argc, char** argv) {
   if (paced) {
     return run_paced_protocol(opts, smoke, sessions_override, telemetry_dir);
   }
-  const std::size_t hw = default_thread_count();
-
-  std::vector<std::size_t> session_counts =
-      smoke ? std::vector<std::size_t>{64}
-            : std::vector<std::size_t>{16, 64, 256};
-  if (sessions_override > 0) {
-    session_counts = {sessions_override};
-  }
-  const std::vector<double> block_ms =
-      smoke ? std::vector<double>{50.0} : std::vector<double>{20.0, 50.0, 100.0};
-  // Fixed worker counts, not hardware-derived: the 1-vs-N determinism
-  // check must exercise real concurrency even on a 1-core box
-  // (oversubscribed workers still interleave), and sweeping the same
-  // counts everywhere keeps run-log records comparable across machines.
-  std::vector<std::size_t> workers =
-      smoke ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 2, 4, hw};
-  std::sort(workers.begin(), workers.end());
-  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
-
-  bench::banner("SERVE", smoke ? "multi-stream serving load (smoke)"
-                               : "multi-stream serving load");
-  bench::json_report report{smoke ? "SERVE-smoke" : "SERVE",
-                            "multi-stream serving load"};
-  report.set_signature("serve-load-v1");
-  report.set_seed(7);
-
-  // ---- Traffic: rendered once at the largest session count. ----------
-  sim::traffic_config tc;
-  tc.num_sessions = *std::max_element(session_counts.begin(),
-                                      session_counts.end());
-  tc.utterances_per_session = smoke ? 1 : 2;
-  tc.num_threads = opts.threads;
-  const sim::traffic_generator generator{tc, 7};
-  const std::vector<sim::session_script> scripts = generator.render_all();
-  double fleet_audio_s = 0.0;
-  std::size_t attack_streams = 0;
-  for (const sim::session_script& s : scripts) {
-    fleet_audio_s += s.capture.duration_s();
-    attack_streams += s.is_attack ? 1 : 0;
-  }
-  bench::note("fleet: %zu streams (%zu attack), %.1f s of audio",
-              scripts.size(), attack_streams, fleet_audio_s);
-  report.add_metric("fleet_streams", static_cast<double>(scripts.size()));
-  report.add_metric("fleet_attack_streams",
-                    static_cast<double>(attack_streams));
-  report.add_metric("fleet_audio_s", fleet_audio_s);
-  bench::rule();
-
-  // ---- Sweep: sessions × block size × workers. -----------------------
-  sim::result_table sweep{
-      {"sessions", "block_ms", "workers"},
-      {"audio_s", "shed_blocks", "events"}};
-  bool determinism_ok = true;
-  double serving_detection_rate = 0.0;
-  double serving_fpr = 0.0;
-  for (const std::size_t S : session_counts) {
-    for (const double B : block_ms) {
-      // Reference verdict streams for this (S, B): the 1-worker run.
-      std::vector<std::vector<defense::stream_event>> reference;
-      for (const std::size_t W : workers) {
-        serve::serve_config cfg;
-        cfg.queue_capacity = 64;
-        cfg.policy = serve::overflow_policy::reject;
-        const combo_result r = run_combo(scripts, S, B, cfg, W,
-                                         /*drain_every=*/4);
-        if (reference.empty()) {
-          reference = r.verdicts;
-          // Serving-level ground truth at the full fleet size: a stream
-          // counts as flagged when any of its verdicts says attack.
-          if (S == session_counts.back() && B == block_ms.front()) {
-            std::size_t attacks = 0, flagged_attack = 0, flagged_genuine = 0;
-            for (std::size_t s = 0; s < S; ++s) {
-              bool flagged = false;
-              for (const defense::stream_event& e : r.verdicts[s]) {
-                flagged = flagged || e.is_attack;
-              }
-              if (scripts[s].is_attack) {
-                ++attacks;
-                flagged_attack += flagged ? 1 : 0;
-              } else {
-                flagged_genuine += flagged ? 1 : 0;
-              }
-            }
-            serving_detection_rate =
-                attacks > 0 ? static_cast<double>(flagged_attack) /
-                                  static_cast<double>(attacks)
-                            : 0.0;
-            serving_fpr = (S - attacks) > 0
-                              ? static_cast<double>(flagged_genuine) /
-                                    static_cast<double>(S - attacks)
-                              : 0.0;
-          }
-        } else {
-          for (std::size_t s = 0; s < S; ++s) {
-            if (!identical_verdicts(reference[s], r.verdicts[s])) {
-              determinism_ok = false;
-              std::fprintf(stderr,
-                           "DETERMINISM VIOLATION: session %zu verdicts "
-                           "differ at %zu vs %zu workers\n",
-                           s, workers.front(), W);
-            }
-          }
-        }
-        const serve::serve_totals& t = r.totals;
-        sim::result_table::row row;
-        row.labels = {std::to_string(S), std::to_string(B),
-                      std::to_string(W)};
-        row.coords = {static_cast<double>(S), B, static_cast<double>(W)};
-        row.metrics = {t.stats.audio_s_processed,
-                       static_cast<double>(t.stats.blocks_shed),
-                       static_cast<double>(t.stats.events)};
-        sweep.add_row(row);
-      }
-    }
-  }
-  sweep.print();
-  report.add_table("sweep", sweep);
-  report.add_metric("determinism_ok", determinism_ok ? 1.0 : 0.0);
-  report.add_metric("max_sessions",
-                    static_cast<double>(session_counts.back()));
-  report.add_metric("serving_detection_rate", serving_detection_rate);
-  report.add_metric("serving_fpr", serving_fpr);
-  bench::note("serving-level rates at %zu streams: detection %.0f%%, "
-              "false positives %.0f%%",
-              session_counts.back(), 100.0 * serving_detection_rate,
-              100.0 * serving_fpr);
-  bench::rule();
-
-  // ---- Overload: tiny queue bound, shed_newest, sparse drains. -------
-  // Offers between two drains exceed the ring, so the shed count is a
-  // deterministic function of the schedule (drains are barriers and the
-  // producer is single-threaded): every session sheds
-  // (drain_every - capacity) blocks per full inter-drain burst.
-  {
-    const std::size_t S = std::min<std::size_t>(session_counts.back(),
-                                                scripts.size());
-    serve::serve_config cfg;
-    cfg.queue_capacity = 4;
-    cfg.policy = serve::overflow_policy::shed_newest;
-    const combo_result r = run_combo(scripts, S, block_ms.front(), cfg,
-                                     workers.back(), /*drain_every=*/16);
-    const serve::serve_totals& t = r.totals;
-    const double offered = static_cast<double>(t.stats.blocks_offered);
-    const double shed_fraction =
-        offered > 0.0 ? static_cast<double>(t.stats.blocks_shed) / offered
-                      : 0.0;
-    bench::note("overload (queue=4, drain every 16): %llu of %llu blocks "
-                "shed (%.0f%%)",
-                static_cast<unsigned long long>(t.stats.blocks_shed),
-                static_cast<unsigned long long>(t.stats.blocks_offered),
-                100.0 * shed_fraction);
-    report.add_metric("overload_shed_blocks",
-                      static_cast<double>(t.stats.blocks_shed));
-    report.add_metric("overload_shed_fraction", shed_fraction);
-    if (t.stats.blocks_shed == 0) {
-      std::fprintf(stderr, "overload pass unexpectedly shed nothing\n");
-      return 1;
-    }
-  }
-
-  bench::rule();
-  bench::note("verdict streams bit-identical at 1 vs N workers: %s",
-              determinism_ok ? "yes" : "NO");
-  bench::note("wrote %s", opts.json_path.c_str());
-  report.write(opts);
-  return determinism_ok ? 0 : 1;
+  return run_sweep_protocol(opts, smoke, sessions_override);
 }

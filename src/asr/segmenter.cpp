@@ -200,14 +200,17 @@ void utterance_segmenter::restore(const json::value& snap) {
 }
 
 void utterance_segmenter::reset() {
+  // Release the buffers, not just empty them: a finished session stays
+  // resident, and clear() would keep up to an utterance of capacity
+  // alive.
   rate_ = 0.0;
   frame_samples_ = 0;
-  pending_.clear();
+  std::vector<double>{}.swap(pending_);
   frames_consumed_ = 0;
-  preroll_.clear();
+  std::vector<std::vector<double>>{}.swap(preroll_);
   in_utterance_ = false;
   utterance_start_frame_ = 0;
-  utterance_.clear();
+  std::vector<double>{}.swap(utterance_);
   silent_run_ = 0;
 }
 

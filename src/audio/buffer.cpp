@@ -50,4 +50,11 @@ buffer slice(const buffer& b, double start_s, double length_s) {
   return buffer{std::move(out), b.sample_rate_hz};
 }
 
+buffer cut(const buffer& b, std::size_t start, std::size_t end) {
+  expects(start <= end && end <= b.size(), "cut: range out of bounds");
+  return buffer{{b.samples.begin() + static_cast<std::ptrdiff_t>(start),
+                 b.samples.begin() + static_cast<std::ptrdiff_t>(end)},
+                b.sample_rate_hz};
+}
+
 }  // namespace ivc::audio

@@ -43,4 +43,7 @@ buffer concat(std::span<const buffer> parts);
 // Sub-range [start_s, start_s + length_s) clamped to the buffer.
 buffer slice(const buffer& b, double start_s, double length_s);
 
+// Samples [start, end) of `b`; throws unless start <= end <= b.size().
+buffer cut(const buffer& b, std::size_t start, std::size_t end);
+
 }  // namespace ivc::audio

@@ -23,6 +23,10 @@ struct stream_event {
   double time_s = 0.0;   // window start
   double score = 0.0;
   bool is_attack = false;
+
+  // Every field is decision content: two runs agree on a verdict only
+  // when all three match bit for bit.
+  friend bool operator==(const stream_event&, const stream_event&) = default;
 };
 
 class stream_detector {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/json_field.h"
@@ -21,6 +22,13 @@ std::vector<intent_rule> default_rules() {
 }
 
 }  // namespace
+
+bool same_decision(const command_outcome& a, const command_outcome& b) {
+  return std::tie(a.start_s, a.end_s, a.kind, a.fault, a.command_id,
+                  a.intent, a.asr_distance, a.asr_margin) ==
+         std::tie(b.start_s, b.end_s, b.kind, b.fault, b.command_id,
+                  b.intent, b.asr_distance, b.asr_margin);
+}
 
 intent_engine::intent_engine(intent_config config)
     : config_{std::move(config)} {

@@ -138,6 +138,11 @@ struct command_outcome {
   double asr_s = 0.0;
 };
 
+// The determinism contract's equality for outcomes: every field but
+// asr_s (wall time) matches bit for bit. Every identity check of the
+// outcome stream uses this.
+bool same_decision(const command_outcome& a, const command_outcome& b);
+
 struct pipeline_config {
   asr::segmenter_config segmenter;
   intent_config intent;

@@ -213,7 +213,6 @@ detection_session::detection_session(std::uint64_t id,
       trace_sink_{config.trace_sink},
       cells_{register_cells(config.metrics.get())},
       ring_(config.queue_capacity),
-      stats_{config.latency_bins},
       trace_{config.trace_spans},
       detector_{std::move(detector), config.stream} {
   expects(capacity_ >= 1, "detection_session: queue capacity must be >= 1");
@@ -253,23 +252,12 @@ offer_status detection_session::offer(audio::buffer block) {
     return offer_status::quarantined;
   }
   if (count_ == capacity_) {
-    switch (policy_) {
-      case overflow_policy::shed_newest:
-        count<&session_stats::blocks_shed>();
-        return offer_status::shed;
-      case overflow_policy::reject:
-        count<&session_stats::blocks_rejected>();
-        return offer_status::rejected;
-      case overflow_policy::shed_oldest:
-        // Evict the head slot and fall through to enqueue. NOTE: evicting
-        // mid-stream drops audio the detector never sees, so later
-        // windows slide over a splice — that is the cost of shedding, and
-        // exactly what the shed counters exist to expose.
-        head_ = (head_ + 1) % capacity_;
-        --count_;
-        count<&session_stats::blocks_shed>();
-        break;
+    if (policy_ == overflow_policy::reject) {
+      count<&session_stats::blocks_rejected>();
+      return offer_status::rejected;
     }
+    count<&session_stats::blocks_shed>();
+    return offer_status::shed;
   }
   const std::size_t slot = (head_ + count_) % capacity_;
   ring_[slot] = queued_block{std::move(block), now};
@@ -483,7 +471,7 @@ void detection_session::contain_fault(const std::string& what) {
   }
 }
 
-std::size_t detection_session::process(std::size_t max_blocks) {
+std::size_t detection_session::process() {
   if (!busy_.try_claim()) {
     return 0;  // another worker owns this session right now
   }
@@ -496,7 +484,7 @@ std::size_t detection_session::process(std::size_t max_blocks) {
   }
   std::size_t processed = 0;
   queued_block item;
-  while (max_blocks == 0 || processed < max_blocks) {
+  while (true) {
     {
       // Re-check per block: contain_fault() may have parked the session
       // mid-drain. Parked = stop scoring; queued blocks survive for a
@@ -842,9 +830,8 @@ void detection_session::restore(const json::value& snap) {
 
 // ---- Frozen-snapshot readers ------------------------------------------
 
-session_stats snapshot_stats(const json::value& snap,
-                             const histogram_config& bins) {
-  session_stats st{bins};
+session_stats snapshot_stats(const json::value& snap) {
+  session_stats st;
   decode_counters(json::field(snap, "ctr"), st);
   st.queue_wait.restore(json::field(snap, "qh"));
   return st;

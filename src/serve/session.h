@@ -11,7 +11,7 @@
 //     start()/stop() schedule; scheduling only moves the latency
 //     numbers;
 //   * overflow is explicit: when the ring is full the configured policy
-//     either sheds (newest or oldest, counted per session) or rejects
+//     either sheds the offered block (counted per session) or rejects
 //     the offer so the producer can apply backpressure and retry.
 //
 // All shared state — the ring, the counters, AND the verdict stream —
@@ -49,7 +49,6 @@ namespace ivc::serve {
 // What happens when a block is offered to a full ingest queue.
 enum class overflow_policy {
   shed_newest,  // drop the offered block (default: protect the backlog)
-  shed_oldest,  // evict the oldest queued block, accept the new one
   reject,       // accept nothing; the producer retries once workers
                 // have made room
 };
@@ -112,13 +111,6 @@ struct serve_config {
   // Only the owning manager's config counts; a per-session config's
   // value is ignored.
   std::size_t worker_threads = 0;
-  // Blocks a worker processes per claim of one session (its scoring
-  // batch). 0 = drain the session's queue completely per claim.
-  std::size_t max_blocks_per_pass = 0;
-  // Binning of the latency histograms: each session's queue_wait and
-  // the shards' rehydrate latency. The aggregate() fold uses it too,
-  // so merges always see matching configs.
-  histogram_config latency_bins;
   // Residency bound of each shard of the owning session_manager. When
   // more than this many of a shard's sessions are LIVE, the shard
   // evicts idle least-recently-offered sessions to compact snapshots
@@ -149,7 +141,7 @@ struct serve_config {
 };
 
 enum class offer_status {
-  accepted,     // enqueued (under shed_oldest, possibly evicting a block)
+  accepted,     // enqueued
   shed,         // dropped under shed_newest; counted in blocks_shed
   rejected,     // queue full under reject policy: retry once workers
                 // have made room
@@ -160,9 +152,6 @@ enum class offer_status {
 };
 
 struct session_stats {
-  session_stats() = default;
-  explicit session_stats(const histogram_config& bins) : queue_wait{bins} {}
-
   // Every counter below has one row in session_counters (after this
   // struct), which is where the snapshot codec, merge(), the registry
   // cells and telemetry_sample() find it.
@@ -204,7 +193,9 @@ struct session_stats {
   std::uint64_t snapshot_restores = 0;  // recoveries from a checkpoint
                                         // (instead of a cold stage reset)
   // Seconds from offer() to the block's claim by a worker, one sample
-  // per processed block: the serving stack's congestion signal.
+  // per processed block: the serving stack's congestion signal. Every
+  // latency histogram of the layer uses the default binning, so any two
+  // merge.
   log_histogram queue_wait;
 
   // Folds another stats block into this one: counters sum, the
@@ -357,11 +348,11 @@ class detection_session {
   // True while queued blocks remain or a close() flush is still owed.
   bool has_work() const;
 
-  // Consumer side: processes up to `max_blocks` queued blocks (0 = all
-  // currently queued) through the detector, appending verdicts. Only one
-  // worker runs a session at a time — concurrent callers return 0
-  // immediately instead of blocking. Returns blocks processed.
-  std::size_t process(std::size_t max_blocks = 0);
+  // Consumer side: processes every currently queued block through the
+  // detector, appending verdicts. Only one worker runs a session at a
+  // time — concurrent callers return 0 immediately instead of blocking.
+  // Returns blocks processed.
+  std::size_t process();
 
   // Snapshot of the verdict stream so far. Safe to call at any time,
   // including while a worker is appending (streaming mode).
@@ -499,8 +490,7 @@ class detection_session {
 // Decode one field family out of a try_snapshot() image WITHOUT
 // rebuilding the session — how the manager serves stats/verdict/outcome
 // reads for EVICTED sessions (reads must not change residency).
-session_stats snapshot_stats(const json::value& snap,
-                             const histogram_config& bins);
+session_stats snapshot_stats(const json::value& snap);
 session_state snapshot_state(const json::value& snap);
 bool snapshot_closed(const json::value& snap);
 std::string snapshot_last_error(const json::value& snap);

@@ -66,16 +66,16 @@ struct session_manager::core {
         config{fleet},
         index{shard},
         count{shards},
-        metrics{fleet.metrics.get()},
-        evic{fleet.latency_bins} {}
+        metrics{fleet.metrics.get()} {}
 
   std::uint64_t id_of(std::uint64_t i) const { return i * count + index; }
   // The one id -> slot conversion: throws std::invalid_argument unless
   // this shard minted `id`.
   std::uint64_t slot_of(std::uint64_t id) const IVC_REQUIRES(sessions_mutex);
 
-  std::uint64_t open(std::shared_ptr<const serve_config> cfg,
-                     const serve_config& effective)
+  // Opens a session with its own config, or the fleet config when `cfg`
+  // is null.
+  std::uint64_t open(std::shared_ptr<const serve_config> cfg)
       IVC_EXCLUDES(sessions_mutex, sched_mutex);
   const std::shared_ptr<detection_session>& ensure_resident(std::uint64_t i)
       IVC_REQUIRES(sessions_mutex);
@@ -145,14 +145,12 @@ session_manager::core::metric_handles::metric_handles(
               : reg->get_histogram("serve_rehydrate_latency_seconds")} {}
 
 std::uint64_t session_manager::core::open(
-    std::shared_ptr<const serve_config> cfg, const serve_config& effective) {
-  expects(effective.latency_bins == config.latency_bins,
-          "session_manager: a per-session config must keep the fleet's "
-          "latency binning — aggregate() merges histograms config-checked");
+    std::shared_ptr<const serve_config> cfg) {
   const ts_lock lock{sessions_mutex};
   const auto i = static_cast<std::uint64_t>(slots.size());
   slot sl;
-  sl.live = std::make_shared<detection_session>(id_of(i), detector, effective);
+  sl.live = std::make_shared<detection_session>(
+      id_of(i), detector, cfg != nullptr ? *cfg : config);
   sl.cfg = std::move(cfg);
   sl.touch = ++touch_counter;
   slots.push_back(std::move(sl));
@@ -368,7 +366,7 @@ void session_manager::core::worker_loop() {
     // std::terminate and takes the process with it. Park the session
     // instead; the worker survives to serve the rest of the fleet.
     try {
-      s->process(config.max_blocks_per_pass);
+      s->process();
     } catch (const std::exception& e) {
       s->force_quarantine(e.what());
     } catch (...) {
@@ -424,19 +422,18 @@ auto session_manager::read(std::uint64_t id, Live live, Frozen frozen) const {
 }
 
 std::uint64_t session_manager::open_session() {
-  return cores_[next_++ % cores_.size()]->open(nullptr, config_);
+  return cores_[next_++ % cores_.size()]->open(nullptr);
 }
 
 std::uint64_t session_manager::open_session(const serve_config& config) {
   return cores_[next_++ % cores_.size()]->open(
-      std::make_shared<const serve_config>(config), config);
+      std::make_shared<const serve_config>(config));
 }
 
 std::uint64_t session_manager::open_session(
     std::shared_ptr<const serve_config> config) {
   expects(config != nullptr, "session_manager: null shared config");
-  const serve_config& effective = *config;
-  return cores_[next_++ % cores_.size()]->open(std::move(config), effective);
+  return cores_[next_++ % cores_.size()]->open(std::move(config));
 }
 
 std::size_t session_manager::num_sessions() const {
@@ -477,7 +474,7 @@ bool session_manager::evict(std::uint64_t id) {
 }
 
 eviction_stats session_manager::eviction() const {
-  eviction_stats out{config_.latency_bins};
+  eviction_stats out;
   for (const std::unique_ptr<core>& c : cores_) {
     const ts_lock lock{c->sessions_mutex};
     out.evictions += c->evic.evictions;
@@ -625,9 +622,8 @@ std::vector<command_outcome> session_manager::outcomes(
 
 session_stats session_manager::stats(std::uint64_t id) const {
   return read(id, [](const detection_session& s) { return s.stats(); },
-              [this](const core::slot& sl) {
-                return snapshot_stats(json::from_binary(sl.frozen),
-                                      config_.latency_bins);
+              [](const core::slot& sl) {
+                return snapshot_stats(json::from_binary(sl.frozen));
               });
 }
 
@@ -639,10 +635,7 @@ std::vector<obs::span> session_manager::trace(std::uint64_t id) const {
 }
 
 serve_totals session_manager::aggregate() const {
-  // The fleet histograms must use the same binning as the per-session
-  // ones: log_histogram::merge requires matching configs.
   serve_totals totals;
-  totals.stats = session_stats{config_.latency_bins};
   for (const std::unique_ptr<core>& c : cores_) {
     const ts_lock lock{c->sessions_mutex};
     totals.num_sessions += c->slots.size();
@@ -653,8 +646,7 @@ serve_totals session_manager::aggregate() const {
       // health facts come from the freeze-time hints, not a decode.
       const session_stats st =
           sl.live != nullptr ? sl.live->stats()
-                             : snapshot_stats(json::from_binary(sl.frozen),
-                                              config_.latency_bins);
+                             : snapshot_stats(json::from_binary(sl.frozen));
       totals.stats.merge(st);
       totals.sessions_with_attack_events += st.attack_events > 0 ? 1 : 0;
       switch (sl.state()) {

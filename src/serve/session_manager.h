@@ -36,7 +36,7 @@
 // schedule does not depend on placement either.
 //
 // Backpressure is explicit and lives at the session queues: a full ring
-// sheds (newest or oldest) or rejects per serve_config::policy, and
+// sheds the offered block or rejects it per serve_config::policy, and
 // every shed/reject is counted. The aggregate() view merges per-session
 // counters and latency histograms into the fleet-wide p50/p95/p99.
 //
@@ -85,7 +85,7 @@
 namespace ivc::serve {
 
 // Fleet-wide totals: summed session counters plus the merged latency
-// histograms (binned per serve_config::latency_bins).
+// histograms.
 struct serve_totals {
   session_stats stats;            // counters summed over sessions
   std::size_t num_sessions = 0;
@@ -103,10 +103,6 @@ struct serve_totals {
 
 // Eviction-layer counters, summed over shards.
 struct eviction_stats {
-  eviction_stats() = default;
-  explicit eviction_stats(const histogram_config& bins)
-      : rehydrate_latency{bins} {}
-
   std::uint64_t evictions = 0;     // sessions frozen to a snapshot
   std::uint64_t rehydrations = 0;  // sessions rebuilt from one
   // Bytes currently held by frozen images (the evicted working set).
@@ -155,11 +151,7 @@ class session_manager {
 
   // Opens a session with its OWN config — detector stream windowing,
   // command pipeline (recognizer/segmenter/intent), queue bound and
-  // overflow policy may all differ per session. The latency binning
-  // must match the fleet config: aggregate() merges per-session
-  // histograms, and log_histogram::merge only accepts identical
-  // binning, so a divergent config is rejected here instead of
-  // corrupting the fleet view later.
+  // overflow policy may all differ per session.
   std::uint64_t open_session(const serve_config& config);
 
   // Same, sharing one config object across sessions — what a
@@ -177,8 +169,8 @@ class session_manager {
   // Producer side: offers one block to session `id`. Thread-safe.
   // Rehydrates the session first if it was evicted, enforces the
   // residency bound afterwards, then draws the shard_kill fault. While
-  // streaming, an accepted offer (or a shed_oldest eviction) enqueues
-  // the session on the ready-queue if it is not already queued/claimed.
+  // streaming, an accepted offer enqueues the session on the ready-queue
+  // if it is not already queued/claimed.
   offer_status offer(std::uint64_t id, audio::buffer block);
 
   // Marks a session (or all of them) end-of-stream; the flush happens as

@@ -26,11 +26,8 @@ std::size_t session_script::num_blocks() const {
 audio::buffer session_script::block(std::size_t b) const {
   expects(b < num_blocks(), "session_script: block index out of range");
   const std::size_t start = b * block_samples;
-  const std::size_t end = std::min(start + block_samples, capture.size());
-  return audio::buffer{
-      {capture.samples.begin() + static_cast<std::ptrdiff_t>(start),
-       capture.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-      capture.sample_rate_hz};
+  return audio::cut(capture, start,
+                    std::min(start + block_samples, capture.size()));
 }
 
 double session_script::block_arrival_s(std::size_t b) const {

@@ -51,6 +51,16 @@ TEST(buffer, slice_clamps_to_bounds) {
   EXPECT_EQ(empty_tail.size(), 0u);
 }
 
+TEST(buffer, cut_takes_a_sample_range) {
+  const buffer b{{0.0, 1.0, 2.0, 3.0, 4.0}, 8'000.0};
+  const buffer c = cut(b, 1, 4);
+  EXPECT_EQ(c.samples, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(c.sample_rate_hz, 8'000.0);
+  EXPECT_EQ(cut(b, 5, 5).size(), 0u);
+  EXPECT_THROW(cut(b, 3, 2), std::invalid_argument);
+  EXPECT_THROW(cut(b, 4, 6), std::invalid_argument);
+}
+
 TEST(buffer, validate_rejects_empty) {
   const buffer b;
   EXPECT_THROW(validate(b, "test"), std::invalid_argument);

@@ -21,18 +21,13 @@
 #include "audio/buffer.h"
 #include "audio/ops.h"
 #include "common/json_min.h"
-#include "common/rng.h"
-#include "defense/classifier.h"
+#include "fleet.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "serve/session_manager.h"
-#include "sim/scenario.h"
-#include "synth/commands.h"
 
 namespace ivc::serve {
 namespace {
-
-constexpr double kRate = 16'000.0;
 
 // ---- fault_injector --------------------------------------------------
 
@@ -94,137 +89,6 @@ TEST(fault_injector, rejects_out_of_range_rates) {
   EXPECT_THROW(fault_injector{cfg}, std::invalid_argument);
 }
 
-// ---- fleet fixtures --------------------------------------------------
-
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
-}
-
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
-
-// A session stream of two spoken commands separated by silence — enough
-// utterances for the segmenter to cut and the pipeline to resolve.
-audio::buffer command_stream(std::uint64_t seed) {
-  ivc::rng rng{seed};
-  std::vector<audio::buffer> parts;
-  parts.push_back(audio::silence(0.3, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("open_door"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("play_music"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  return audio::remove_dc(audio::concat(parts));
-}
-
-serve_config fleet_config() {
-  serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = overflow_policy::reject;
-  pipeline_config pc;
-  pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
-  cfg.pipeline = pc;
-  return cfg;
-}
-
-struct fleet_result {
-  std::vector<std::vector<defense::stream_event>> verdicts;
-  std::vector<std::vector<command_outcome>> outcomes;
-  std::vector<session_stats> stats;
-  std::vector<session_state> states;
-  std::vector<std::string> last_errors;
-  serve_totals totals;
-};
-
-// Offers every stream in `block`-sample slices round-robin to a manager
-// running `workers` streaming workers.
-fleet_result run_fleet(const std::vector<audio::buffer>& streams,
-                       std::size_t block, const serve_config& cfg,
-                       std::size_t workers = 2) {
-  session_manager manager{tiny_detector(), cfg};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    manager.open_session();
-  }
-  manager.start(workers);
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      audio::buffer piece{
-          {streams[s].samples.begin() + static_cast<std::ptrdiff_t>(start),
-           streams[s].samples.begin() + static_cast<std::ptrdiff_t>(end)},
-          streams[s].sample_rate_hz};
-      // A quarantined session refuses the offer — that is containment
-      // working, not backpressure: skip, never spin.
-      while (manager.offer(s, piece) == offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-  }
-  manager.finish();
-  fleet_result r;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    r.verdicts.push_back(manager.verdicts(s));
-    r.outcomes.push_back(manager.outcomes(s));
-    r.stats.push_back(manager.stats(s));
-    r.states.push_back(manager.state(s));
-    r.last_errors.push_back(manager.last_error(s));
-  }
-  r.totals = manager.aggregate();
-  return r;
-}
-
-// Outcome equality minus asr_s (wall time, excluded like latency).
-void expect_same_outcomes(const std::vector<command_outcome>& a,
-                          const std::vector<command_outcome>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].start_s, b[i].start_s) << what << " #" << i;
-    EXPECT_EQ(a[i].end_s, b[i].end_s) << what << " #" << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << what << " #" << i;
-    EXPECT_EQ(a[i].fault, b[i].fault) << what << " #" << i;
-    EXPECT_EQ(a[i].command_id, b[i].command_id) << what << " #" << i;
-    EXPECT_EQ(a[i].intent, b[i].intent) << what << " #" << i;
-    EXPECT_EQ(a[i].asr_distance, b[i].asr_distance) << what << " #" << i;
-    EXPECT_EQ(a[i].asr_margin, b[i].asr_margin) << what << " #" << i;
-  }
-}
-
-void expect_same_verdicts(const std::vector<defense::stream_event>& a,
-                          const std::vector<defense::stream_event>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time_s, b[i].time_s) << what << " #" << i;
-    EXPECT_EQ(a[i].score, b[i].score) << what << " #" << i;
-    EXPECT_EQ(a[i].is_attack, b[i].is_attack) << what << " #" << i;
-  }
-}
-
 // ---- containment -----------------------------------------------------
 
 // THE regression test: a recognizer that throws in ONE session is
@@ -234,20 +98,17 @@ void expect_same_verdicts(const std::vector<defense::stream_event>& a,
 // exception unwound through a worker thread and the whole test died in
 // std::terminate.
 TEST(fault_containment, throwing_recognizer_quarantines_only_its_session) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    streams.push_back(command_stream(500 + s));
-  }
-  serve_config cfg = fleet_config();
-  const fleet_result clean = run_fleet(streams, 1'024, cfg);
+  const std::vector<audio::buffer> streams = fleet_streams(4, 500);
+  fleet_params p;
+  const fleet_run clean = run_fleet(streams, 1'024, p);
   ASSERT_GT(clean.outcomes[1].size(), 0u);
 
   fault_config fc;
   fc.schedule.push_back({fault_kind::recognizer_throw, /*session=*/1,
                          /*index=*/0});
-  cfg.faults = std::make_shared<fault_injector>(fc);
-  cfg.fault_tolerance.auto_reopen = false;  // park, don't retry
-  const fleet_result faulted = run_fleet(streams, 1'024, cfg);
+  p.config.faults = std::make_shared<fault_injector>(fc);
+  p.config.fault_tolerance.auto_reopen = false;  // park, don't retry
+  const fleet_run faulted = run_fleet(streams, 1'024, p);
 
   // The faulted session is quarantined and the fault is attributed.
   EXPECT_EQ(faulted.states[1], session_state::quarantined);
@@ -346,12 +207,7 @@ TEST(fault_containment, detector_fault_auto_reopens_with_backoff) {
   const std::size_t block = 2'048;
   for (std::size_t start = 0; start < stream.size(); start += block) {
     const std::size_t end = std::min(start + block, stream.size());
-    manager.offer(
-        sid, audio::buffer{{stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(start),
-                            stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(end)},
-                           kRate});
+    manager.offer(sid, audio::cut(stream, start, end));
   }
   manager.finish();
 
@@ -382,12 +238,7 @@ TEST(fault_containment, corrupt_block_contained_at_ingest_boundary) {
   const std::size_t block = 4'096;
   for (std::size_t start = 0; start < stream.size(); start += block) {
     const std::size_t end = std::min(start + block, stream.size());
-    manager.offer(
-        sid, audio::buffer{{stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(start),
-                            stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(end)},
-                           kRate});
+    manager.offer(sid, audio::cut(stream, start, end));
   }
   manager.finish();
 
@@ -464,12 +315,7 @@ TEST(fault_containment, reopen_restores_service_after_quarantine) {
   const std::size_t block = 4'096;
   for (std::size_t start = 0; start < speech.size(); start += block) {
     const std::size_t end = std::min(start + block, speech.size());
-    EXPECT_EQ(manager.offer(
-                  sid, audio::buffer{{speech.samples.begin() +
-                                          static_cast<std::ptrdiff_t>(start),
-                                      speech.samples.begin() +
-                                          static_cast<std::ptrdiff_t>(end)},
-                                     kRate}),
+    EXPECT_EQ(manager.offer(sid, audio::cut(speech, start, end)),
               offer_status::accepted);
   }
   manager.finish();
@@ -545,12 +391,7 @@ TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
   for (std::size_t start = 0; start < speech.size();
        start += block, ++offered) {
     const std::size_t end = std::min(start + block, speech.size());
-    EXPECT_EQ(manager.offer(
-                  sid, audio::buffer{{speech.samples.begin() +
-                                          static_cast<std::ptrdiff_t>(start),
-                                      speech.samples.begin() +
-                                          static_cast<std::ptrdiff_t>(end)},
-                                     kRate}),
+    EXPECT_EQ(manager.offer(sid, audio::cut(speech, start, end)),
               offer_status::accepted);
   }
   manager.finish();
@@ -622,11 +463,7 @@ TEST(fault_containment, force_quarantine_races_the_owning_worker) {
   std::size_t offered = 0;
   for (std::size_t start = 0; start < stream.size(); start += block) {
     const std::size_t end = std::min(start + block, stream.size());
-    ASSERT_EQ(s.offer(audio::buffer{
-                  {stream.samples.begin() + static_cast<std::ptrdiff_t>(start),
-                   stream.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-                  kRate}),
-              offer_status::accepted);
+    ASSERT_EQ(s.offer(audio::cut(stream, start, end)), offer_status::accepted);
     ++offered;
   }
 
@@ -662,12 +499,7 @@ TEST(fault_degradation, deadline_overrun_sheds_asr_fail_closed) {
   const std::size_t block = 4'096;
   for (std::size_t start = 0; start < stream.size(); start += block) {
     const std::size_t end = std::min(start + block, stream.size());
-    manager.offer(
-        sid, audio::buffer{{stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(start),
-                            stream.samples.begin() +
-                                static_cast<std::ptrdiff_t>(end)},
-                           kRate});
+    manager.offer(sid, audio::cut(stream, start, end));
   }
   manager.finish();
 
@@ -694,47 +526,36 @@ TEST(fault_degradation, deadline_overrun_sheds_asr_fail_closed) {
 // streams are bit-identical at any worker count — faults ride the
 // accepted-block order like everything else in the layer.
 TEST(fault_determinism, streams_identical_across_worker_counts) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    streams.push_back(command_stream(700 + s));
-  }
-  serve_config cfg = fleet_config();
+  const std::vector<audio::buffer> streams = fleet_streams(5, 700);
+  fleet_params p;
   fault_config fc;
   fc.seed = 1234;
   fc.detector_throw_rate = 0.02;
   fc.corrupt_block_rate = 0.02;
   fc.recognizer_overrun_rate = 0.3;
-  cfg.faults = std::make_shared<fault_injector>(fc);
-  cfg.fault_tolerance.backoff_blocks = 2;
+  p.config.faults = std::make_shared<fault_injector>(fc);
+  p.config.fault_tolerance.backoff_blocks = 2;
 
-  const fleet_result reference = run_fleet(streams, 1'024, cfg, 1);
+  p.workers = 1;
+  const fleet_run reference = run_fleet(streams, 1'024, p);
   std::size_t faults_seen = reference.totals.stats.detector_faults +
                             reference.totals.stats.corrupt_blocks +
                             reference.totals.stats.asr_deadline_overruns;
   ASSERT_GT(faults_seen, 0u) << "the sweep must actually inject faults";
 
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    const fleet_result run = run_fleet(streams, 1'024, cfg, workers);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      expect_same_verdicts(reference.verdicts[s], run.verdicts[s],
-                           "w=" + std::to_string(workers) + " session " +
-                               std::to_string(s));
-      expect_same_outcomes(reference.outcomes[s], run.outcomes[s],
-                           "w=" + std::to_string(workers) + " session " +
-                               std::to_string(s));
-    }
+    p.workers = workers;
+    expect_same_streams(reference, run_fleet(streams, 1'024, p),
+                        "w=" + std::to_string(workers));
   }
 }
 
 // Fail-closed end to end: injected faults can only ever shrink the set
 // of executed commands, never grow it.
 TEST(fault_determinism, faults_never_add_executed_commands) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    streams.push_back(command_stream(800 + s));
-  }
-  serve_config cfg = fleet_config();
-  const fleet_result clean = run_fleet(streams, 2'048, cfg);
+  const std::vector<audio::buffer> streams = fleet_streams(4, 800);
+  fleet_params p;
+  const fleet_run clean = run_fleet(streams, 2'048, p);
   ASSERT_GT(clean.totals.stats.commands_executed, 0u);
 
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
@@ -744,8 +565,8 @@ TEST(fault_determinism, faults_never_add_executed_commands) {
     fc.recognizer_throw_rate = 0.1;
     fc.recognizer_overrun_rate = 0.2;
     fc.corrupt_block_rate = 0.03;
-    cfg.faults = std::make_shared<fault_injector>(fc);
-    const fleet_result faulted = run_fleet(streams, 2'048, cfg);
+    p.config.faults = std::make_shared<fault_injector>(fc);
+    const fleet_run faulted = run_fleet(streams, 2'048, p);
     EXPECT_LE(faulted.totals.stats.commands_executed,
               clean.totals.stats.commands_executed)
         << "fault seed " << seed;

@@ -5,14 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
+#include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "audio/buffer.h"
 #include "common/rng.h"
-#include "defense/classifier.h"
+#include "fleet.h"
 #include "serve/session_manager.h"
 #include "sim/scenario.h"
 #include "synth/commands.h"
@@ -59,8 +59,6 @@ TEST(intent_engine, wake_machine_arms_maps_and_times_out) {
 }
 
 // ---- command_pipeline ------------------------------------------------
-
-constexpr double kRate = 16'000.0;
 
 // One spoken command padded with digital silence on both sides — the
 // traffic-stream shape the segmenter cuts on.
@@ -267,28 +265,6 @@ TEST(command_pipeline, wake_machine_ignores_unwoken_command) {
 
 // ---- serving-level integration ---------------------------------------
 
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
-}
-
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
-
 std::vector<audio::buffer> command_streams() {
   const std::vector<synth::command>& bank = synth::command_bank();
   std::vector<audio::buffer> streams;
@@ -298,101 +274,88 @@ std::vector<audio::buffer> command_streams() {
   return streams;
 }
 
-serve_config pipelined_config() {
-  serve_config cfg;
-  cfg.queue_capacity = 16;
-  cfg.policy = overflow_policy::reject;
-  cfg.pipeline = test_pipeline(/*decision_window_s=*/0.0);  // adopt window_s
-  return cfg;
-}
+// The one rule for "same decisions": an outcome agrees with another on
+// every field but the asr_s wall time, a verdict on all three fields,
+// bit for bit.
+TEST(serve_pipeline, decision_equality_ignores_only_wall_time) {
+  command_outcome a;
+  a.start_s = 1.0;
+  a.end_s = 2.0;
+  a.kind = command_outcome::kind_t::executed;
+  a.command_id = "open_door";
+  a.intent = "intent/open_door";
+  a.asr_distance = 0.5;
+  a.asr_margin = 0.25;
+  a.asr_s = 0.01;
+  command_outcome timing = a;
+  timing.asr_s = 0.02;
+  EXPECT_TRUE(same_decision(a, timing));
 
-// Offers every stream in `block`-sample slices round-robin to a manager
-// running `workers` streaming workers. Returns the per-session outcome
-// streams.
-std::vector<std::vector<command_outcome>> run_fleet_outcomes(
-    const std::vector<audio::buffer>& streams, std::size_t block,
-    const serve_config& cfg, std::size_t workers) {
-  session_manager manager{tiny_detector(), cfg};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    manager.open_session(cfg);  // the per-session override path
+  void (*const outcome_edits[])(command_outcome&) = {
+      [](command_outcome& o) { o.start_s = std::nextafter(o.start_s, 9.0); },
+      [](command_outcome& o) { o.end_s = std::nextafter(o.end_s, 9.0); },
+      [](command_outcome& o) { o.kind = command_outcome::kind_t::blocked; },
+      [](command_outcome& o) {
+        o.fault = command_outcome::fault_t::stage_fault;
+      },
+      [](command_outcome& o) { o.command_id = "play_music"; },
+      [](command_outcome& o) { o.intent.clear(); },
+      [](command_outcome& o) {
+        o.asr_distance = std::nextafter(o.asr_distance, 9.0);
+      },
+      [](command_outcome& o) {
+        o.asr_margin = std::nextafter(o.asr_margin, 9.0);
+      },
+  };
+  for (std::size_t i = 0; i < std::size(outcome_edits); ++i) {
+    command_outcome b = a;
+    outcome_edits[i](b);
+    EXPECT_FALSE(same_decision(a, b)) << "outcome field " << i;
+    EXPECT_FALSE(same_decision(b, a)) << "outcome field " << i;
   }
-  manager.start(workers);
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      const audio::buffer piece{
-          {streams[s].samples.begin() + static_cast<std::ptrdiff_t>(start),
-           streams[s].samples.begin() + static_cast<std::ptrdiff_t>(end)},
-          streams[s].sample_rate_hz};
-      while (manager.offer(s, piece) == offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-  }
-  manager.finish();
-  std::vector<std::vector<command_outcome>> outcomes;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    outcomes.push_back(manager.outcomes(s));
-  }
-  return outcomes;
-}
 
-void expect_identical_outcomes(
-    const std::vector<std::vector<command_outcome>>& a,
-    const std::vector<std::vector<command_outcome>>& b,
-    const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    ASSERT_EQ(a[s].size(), b[s].size()) << label << " session " << s;
-    for (std::size_t i = 0; i < a[s].size(); ++i) {
-      EXPECT_EQ(a[s][i].start_s, b[s][i].start_s) << label;
-      EXPECT_EQ(a[s][i].end_s, b[s][i].end_s) << label;
-      EXPECT_EQ(a[s][i].kind, b[s][i].kind) << label;
-      EXPECT_EQ(a[s][i].command_id, b[s][i].command_id) << label;
-      EXPECT_EQ(a[s][i].intent, b[s][i].intent) << label;
-      EXPECT_EQ(a[s][i].asr_distance, b[s][i].asr_distance) << label;
-      EXPECT_EQ(a[s][i].asr_margin, b[s][i].asr_margin) << label;
-      // asr_s is wall time and deliberately NOT compared.
-    }
-  }
+  const defense::stream_event e{0.5, 1.25, true};
+  defense::stream_event f = e;
+  EXPECT_TRUE(e == f);
+  f.time_s = std::nextafter(f.time_s, 9.0);
+  EXPECT_FALSE(e == f);
+  f = e;
+  f.score = std::nextafter(f.score, 9.0);
+  EXPECT_FALSE(e == f);
+  f = e;
+  f.is_attack = false;
+  EXPECT_FALSE(e == f);
 }
 
 // The tentpole contract: the outcome stream is a pure function of the
 // accepted-block order — bit-identical at 1/2/8 workers.
 TEST(serve_pipeline, outcomes_identical_across_worker_counts) {
   const std::vector<audio::buffer> streams = command_streams();
-  const serve_config cfg = pipelined_config();
-
-  const auto reference = run_fleet_outcomes(streams, 1'024, cfg, 1);
-  std::size_t total = 0;
-  for (const auto& v : reference) {
-    total += v.size();
-  }
-  ASSERT_GT(total, 0u);
+  fleet_params p;
+  // A queue shorter than a stream, so offers are rejected and retried
+  // while the workers run.
+  p.config.queue_capacity = 16;
+  p.per_session_config = true;
+  p.workers = 1;
+  const fleet_run reference = run_fleet(streams, 1'024, p);
+  ASSERT_GT(reference.totals.stats.utterances, 0u);
+  ASSERT_GT(reference.totals.stats.blocks_rejected, 0u);
 
   for (const std::size_t workers : {2u, 8u}) {
-    expect_identical_outcomes(
-        reference, run_fleet_outcomes(streams, 1'024, cfg, workers),
-        "x" + std::to_string(workers));
+    p.workers = workers;
+    expect_same_streams(reference, run_fleet(streams, 1'024, p),
+                        "x" + std::to_string(workers));
   }
 
   // And invariant to the ingest chunking, like the verdict stream.
-  expect_identical_outcomes(reference,
-                            run_fleet_outcomes(streams, 997, cfg, 2),
-                            "block 997");
+  p.workers = 2;
+  expect_same_streams(reference, run_fleet(streams, 997, p), "block 997");
 }
 
 TEST(serve_pipeline, stats_count_every_outcome) {
   const std::vector<audio::buffer> streams = command_streams();
-  const serve_config cfg = pipelined_config();
+  serve_config cfg = fleet_config();
+  cfg.queue_capacity = 16;
   session_manager manager{tiny_detector(), cfg};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     manager.open_session(cfg);
@@ -411,22 +374,16 @@ TEST(serve_pipeline, stats_count_every_outcome) {
             outcomes);
 }
 
-TEST(serve_pipeline, per_session_config_must_keep_fleet_binning) {
+TEST(serve_pipeline, per_session_config_may_change_queue_and_pipeline) {
   serve_config fleet;
   session_manager manager{tiny_detector(), fleet};
 
-  // Per-session overrides that keep the binning are fine — with or
-  // without a pipeline, and with different queue shapes.
+  // A per-session override may add a pipeline and reshape the queue.
   serve_config custom = fleet;
   custom.queue_capacity = 4;
-  custom.policy = overflow_policy::shed_oldest;
+  custom.policy = overflow_policy::reject;
   custom.pipeline = test_pipeline();
   EXPECT_NO_THROW(manager.open_session(custom));
-
-  // Divergent latency binning would corrupt aggregate()'s merge.
-  serve_config divergent = fleet;
-  divergent.latency_bins.bins_per_decade += 8;
-  EXPECT_THROW(manager.open_session(divergent), std::invalid_argument);
 }
 
 // The recognizer-sharing contract the pipeline relies on: concurrent

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,34 +15,11 @@
 #include "audio/ops.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "defense/classifier.h"
+#include "fleet.h"
 #include "synth/commands.h"
 
 namespace ivc::serve {
 namespace {
-
-// Tiny trained classifier fixture (same shape as the stream tests).
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
-}
-
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
 
 // A per-session stream: rendered speech with a quadratic trace whose
 // strength varies by seed, padded so several windows complete.
@@ -56,46 +34,6 @@ audio::buffer session_stream(std::uint64_t seed) {
   return audio::remove_dc(v);
 }
 
-// Offers every session's stream in `block` sample slices, round-robin
-// across sessions, to a manager running `workers` streaming workers. A
-// rejected offer retries after a short sleep while the workers make
-// room. Returns the per-session verdict streams.
-std::vector<std::vector<defense::stream_event>> run_fleet(
-    const std::vector<audio::buffer>& streams, std::size_t block,
-    const serve_config& cfg, std::size_t workers) {
-  session_manager manager{tiny_detector(), cfg};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    manager.open_session();
-  }
-  manager.start(workers);
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      audio::buffer piece{
-          {streams[s].samples.begin() + static_cast<std::ptrdiff_t>(start),
-           streams[s].samples.begin() + static_cast<std::ptrdiff_t>(end)},
-          streams[s].sample_rate_hz};
-      while (manager.offer(s, piece) == offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-  }
-  manager.finish();
-  std::vector<std::vector<defense::stream_event>> verdicts;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    verdicts.push_back(manager.verdicts(s));
-  }
-  return verdicts;
-}
-
 // The layer's invariant: long-lived workers and the ready-queue only
 // change latency, never decisions — every worker count reproduces the
 // 1-worker verdict streams bit-exactly.
@@ -108,25 +46,16 @@ TEST(serve, verdict_streams_identical_at_any_worker_count) {
   cfg.queue_capacity = 16;
   cfg.policy = overflow_policy::reject;
 
-  const auto serial = run_fleet(streams, 1'024, cfg, 1);
-  std::size_t total_events = 0;
-  for (const auto& v : serial) {
-    total_events += v.size();
-  }
-  ASSERT_GT(total_events, 0u);
+  fleet_params p;
+  p.config = cfg;
+  p.workers = 1;
+  const fleet_run serial = run_fleet(streams, 1'024, p);
+  ASSERT_GT(serial.totals.stats.events, 0u);
 
   for (const std::size_t workers : {2u, 3u, 8u}) {
-    const auto parallel = run_fleet(streams, 1'024, cfg, workers);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t s = 0; s < serial.size(); ++s) {
-      ASSERT_EQ(serial[s].size(), parallel[s].size())
-          << "session " << s << " at " << workers << " workers";
-      for (std::size_t i = 0; i < serial[s].size(); ++i) {
-        EXPECT_EQ(serial[s][i].time_s, parallel[s][i].time_s);
-        EXPECT_EQ(serial[s][i].score, parallel[s][i].score);
-        EXPECT_EQ(serial[s][i].is_attack, parallel[s][i].is_attack);
-      }
-    }
+    p.workers = workers;
+    expect_same_streams(serial, run_fleet(streams, 1'024, p),
+                        std::to_string(workers) + " workers");
   }
 }
 
@@ -172,24 +101,6 @@ TEST(serve, shed_newest_drops_the_offered_block) {
   EXPECT_EQ(st.blocks_accepted, 2u);
   EXPECT_EQ(st.blocks_shed, 3u);
   manager.finish();
-  EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
-}
-
-TEST(serve, shed_oldest_evicts_but_accepts) {
-  serve_config cfg;
-  cfg.queue_capacity = 2;
-  cfg.policy = overflow_policy::shed_oldest;
-  session_manager manager{tiny_detector(), cfg};
-  const std::uint64_t sid = manager.open_session();
-  const audio::buffer block = audio::silence(0.05, 16'000.0);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(manager.offer(sid, block), offer_status::accepted);
-  }
-  const session_stats st = manager.stats(sid);
-  EXPECT_EQ(st.blocks_accepted, 5u);
-  EXPECT_EQ(st.blocks_shed, 3u);
-  manager.finish();
-  // Only the last `capacity` blocks survive to be scored.
   EXPECT_EQ(manager.stats(sid).blocks_processed, 2u);
 }
 
@@ -352,11 +263,8 @@ TEST(serve, verdict_snapshots_are_safe_while_streaming) {
   }};
   const std::size_t block = 512;
   for (std::size_t start = 0; start < stream.size(); start += block) {
-    const std::size_t end = std::min(start + block, stream.size());
-    audio::buffer piece{
-        {stream.samples.begin() + static_cast<std::ptrdiff_t>(start),
-         stream.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-        stream.sample_rate_hz};
+    const audio::buffer piece =
+        audio::cut(stream, start, std::min(start + block, stream.size()));
     while (manager.offer(sid, piece) == offer_status::rejected) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }

@@ -18,214 +18,59 @@
 
 #include "audio/buffer.h"
 #include "audio/ops.h"
-#include "common/rng.h"
-#include "defense/classifier.h"
+#include "fleet.h"
 #include "obs/registry.h"
 #include "serve/session_manager.h"
-#include "sim/scenario.h"
-#include "synth/commands.h"
 
 namespace ivc::serve {
 namespace {
 
-constexpr double kRate = 16'000.0;
-
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
+// Every fourth round the producer waits for the workers (stop, then
+// start again), so each session goes idle mid-stream: eviction and
+// shard_kill then have idle sessions to freeze, while the offers in
+// between race live workers. The runs are compared across fronts, so
+// each must see the same accepted blocks: no offer may bounce.
+fleet_run run_shards(const std::vector<audio::buffer>& streams,
+                     std::size_t block, fleet_params p) {
+  p.barrier_every = 4;
+  fleet_run r = run_fleet(streams, block, p);
+  EXPECT_EQ(r.totals.stats.blocks_rejected, 0u);
+  return r;
 }
 
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
-
-audio::buffer command_stream(std::uint64_t seed) {
-  ivc::rng rng{seed};
-  std::vector<audio::buffer> parts;
-  parts.push_back(audio::silence(0.3, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("open_door"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("play_music"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  return audio::remove_dc(audio::concat(parts));
-}
-
-audio::buffer cut(const audio::buffer& b, std::size_t start,
-                    std::size_t end) {
-  return audio::buffer{
-      {b.samples.begin() + static_cast<std::ptrdiff_t>(start),
-       b.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-      b.sample_rate_hz};
-}
-
-serve_config fleet_config() {
-  serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = overflow_policy::reject;
-  pipeline_config pc;
-  pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
-  cfg.pipeline = pc;
-  return cfg;
-}
-
-void expect_same_verdicts(const std::vector<defense::stream_event>& a,
-                          const std::vector<defense::stream_event>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time_s, b[i].time_s) << what << " #" << i;
-    EXPECT_EQ(a[i].score, b[i].score) << what << " #" << i;
-    EXPECT_EQ(a[i].is_attack, b[i].is_attack) << what << " #" << i;
-  }
-}
-
-void expect_same_outcomes(const std::vector<command_outcome>& a,
-                          const std::vector<command_outcome>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].start_s, b[i].start_s) << what << " #" << i;
-    EXPECT_EQ(a[i].end_s, b[i].end_s) << what << " #" << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << what << " #" << i;
-    EXPECT_EQ(a[i].fault, b[i].fault) << what << " #" << i;
-    EXPECT_EQ(a[i].command_id, b[i].command_id) << what << " #" << i;
-    EXPECT_EQ(a[i].intent, b[i].intent) << what << " #" << i;
-  }
-}
-
-struct fleet_result {
-  std::vector<std::vector<defense::stream_event>> verdicts;
-  std::vector<std::vector<command_outcome>> outcomes;
-  std::vector<std::string> traces;  // wall clock stripped, encoded
-  serve_totals totals;
-  eviction_stats eviction;
-  shard_balance balance;
-};
-
-struct fleet_params {
-  std::size_t shards = 1;
-  std::size_t workers = 2;           // per shard
-  std::size_t max_resident = 0;      // per shard; 0 = unbounded
-  std::shared_ptr<const fault_injector> faults;
-  fault_tolerance_config tolerance;
-};
-
-// Offers every stream round-robin to a streaming front. Every fourth
-// round the producer waits for the workers (stop, then start again), so
-// each session goes idle mid-stream: eviction and shard_kill then have
-// idle sessions to freeze, while the offers in between race live
-// workers.
-fleet_result run_fleet(const std::vector<audio::buffer>& streams,
-                       std::size_t block, const fleet_params& p) {
-  serve_config cfg = fleet_config();
-  cfg.max_resident_sessions = p.max_resident;
-  cfg.faults = p.faults;
-  cfg.fault_tolerance = p.tolerance;
-  session_manager front{tiny_detector(), cfg, p.shards};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    front.open_session();
-  }
-  front.start(p.workers);
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      EXPECT_EQ(front.offer(s, cut(streams[s], start, end)),
-                offer_status::accepted);
-    }
-    if (round % 4 == 3) {
-      front.stop();
-      front.start(p.workers);
-    }
-  }
-  front.finish();
-  fleet_result out;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    out.verdicts.push_back(front.verdicts(s));
-    out.outcomes.push_back(front.outcomes(s));
-    out.traces.push_back(json::write(
-        obs::encode_spans(obs::strip_wall_clock(front.trace(s)))));
-  }
-  out.totals = front.aggregate();
-  out.eviction = front.eviction();
-  out.balance = front.balance();
-  return out;
-}
-
-std::vector<audio::buffer> fleet_streams(std::size_t n) {
-  std::vector<audio::buffer> streams;
-  streams.reserve(n);
-  for (std::uint64_t s = 0; s < n; ++s) {
-    streams.push_back(command_stream(500 + s));
-  }
-  return streams;
+// `shards` shards of `workers` workers, each shard evicting down to
+// `max_resident` sessions (0 = unbounded).
+fleet_params sharded(std::size_t shards, std::size_t workers = 2,
+                     std::size_t max_resident = 0) {
+  fleet_params p;
+  p.shards = shards;
+  p.workers = workers;
+  p.config.max_resident_sessions = max_resident;
+  return p;
 }
 
 // ---- the tentpole identity matrix ------------------------------------
 
 TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
-  const std::vector<audio::buffer> streams = fleet_streams(8);
+  const std::vector<audio::buffer> streams = fleet_streams(8, 500);
   const std::size_t block = 2'048;
 
   // Reference: one shard, one worker, no eviction.
-  fleet_params ref_p;
-  ref_p.shards = 1;
-  ref_p.workers = 1;
-  const fleet_result ref = run_fleet(streams, block, ref_p);
-  std::size_t total_verdicts = 0;
-  for (const auto& v : ref.verdicts) {
-    total_verdicts += v.size();
-  }
-  ASSERT_GT(total_verdicts, 0u);
+  const fleet_run ref = run_shards(streams, block, sharded(1, 1));
+  ASSERT_GT(ref.totals.stats.events, 0u);
   EXPECT_GT(ref.totals.stats.commands_executed, 0u);  // non-vacuous
 
   struct case_t {
     const char* name;
     fleet_params p;
   };
-  std::vector<case_t> cases;
-  cases.push_back({"2 shards", {}});
-  cases.back().p.shards = 2;
-  cases.push_back({"4 shards, 4 workers", {}});
-  cases.back().p.shards = 4;
-  cases.back().p.workers = 4;
-  cases.push_back({"2 shards, eviction bound 2", {}});
-  cases.back().p.shards = 2;
-  cases.back().p.max_resident = 2;
-  cases.push_back({"4 shards, eviction bound 1", {}});
-  cases.back().p.shards = 4;
-  cases.back().p.max_resident = 1;
-
-  for (const case_t& c : cases) {
-    const fleet_result got = run_fleet(streams, block, c.p);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::string what =
-          std::string{c.name} + ", session " + std::to_string(s);
-      expect_same_verdicts(ref.verdicts[s], got.verdicts[s], what);
-      expect_same_outcomes(ref.outcomes[s], got.outcomes[s], what);
-    }
+  for (const case_t& c :
+       {case_t{"2 shards", sharded(2)},
+        case_t{"4 shards, 4 workers", sharded(4, 4)},
+        case_t{"2 shards, eviction bound 2", sharded(2, 2, 2)},
+        case_t{"4 shards, eviction bound 1", sharded(4, 2, 1)}}) {
+    const fleet_run got = run_shards(streams, block, c.p);
+    expect_same_streams(ref, got, c.name);
     // Aggregate content counters match too (latency/timing excluded).
     EXPECT_EQ(ref.totals.stats.events, got.totals.stats.events) << c.name;
     EXPECT_EQ(ref.totals.stats.commands_executed,
@@ -234,7 +79,7 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
     EXPECT_EQ(ref.totals.stats.commands_blocked,
               got.totals.stats.commands_blocked)
         << c.name;
-    if (c.p.max_resident > 0) {
+    if (c.p.config.max_resident_sessions > 0) {
       EXPECT_GT(got.eviction.evictions, 0u) << c.name;  // bound bit
     }
   }
@@ -293,8 +138,9 @@ TEST(shard, concurrent_opens_mint_exactly_the_dense_ids) {
   const audio::buffer stream = command_stream(650);
   for (std::size_t b = 0; b < kBlocks; ++b) {
     for (std::uint64_t id = 0; id < 3; ++id) {
-      EXPECT_EQ(front.offer(id, cut(stream, b * 1'024, (b + 1) * 1'024)),
-                offer_status::accepted);
+      EXPECT_EQ(
+          front.offer(id, audio::cut(stream, b * 1'024, (b + 1) * 1'024)),
+          offer_status::accepted);
     }
   }
   for (std::thread& t : threads) {
@@ -323,21 +169,19 @@ TEST(shard, concurrent_opens_mint_exactly_the_dense_ids) {
 
 // A lone manager is one shard, so it must kill too.
 TEST(shard, shard_kill_is_invisible_in_the_streams) {
-  const std::vector<audio::buffer> streams = fleet_streams(6);
+  const std::vector<audio::buffer> streams = fleet_streams(6, 500);
   const std::size_t block = 2'048;
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     const std::string where = std::to_string(shards) + " shard(s)";
-    fleet_params clean;
-    clean.shards = shards;
-    const fleet_result want = run_fleet(streams, block, clean);
+    const fleet_run want = run_shards(streams, block, sharded(shards));
 
     fault_config fc;
     fc.seed = 7;
     fc.shard_kill_rate = 0.05;  // every ~20th offer of a shard
-    fleet_params chaos = clean;
-    chaos.faults = std::make_shared<fault_injector>(fc);
-    const fleet_result got = run_fleet(streams, block, chaos);
+    fleet_params chaos = sharded(shards);
+    chaos.config.faults = std::make_shared<fault_injector>(fc);
+    const fleet_run got = run_shards(streams, block, chaos);
 
     // Kills actually happened and evicted sessions...
     std::uint64_t kills = 0;
@@ -349,12 +193,7 @@ TEST(shard, shard_kill_is_invisible_in_the_streams) {
 
     // ...yet every stream is bit-identical to the fault-free run, and
     // the attacker gained nothing: executed counts match exactly.
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      expect_same_verdicts(want.verdicts[s], got.verdicts[s],
-                           where + ", session " + std::to_string(s));
-      expect_same_outcomes(want.outcomes[s], got.outcomes[s],
-                           where + ", session " + std::to_string(s));
-    }
+    expect_same_streams(want, got, where);
     EXPECT_EQ(want.totals.stats.commands_executed,
               got.totals.stats.commands_executed)
         << where;
@@ -371,22 +210,22 @@ TEST(shard, shard_kill_is_invisible_in_the_streams) {
 // and recognizer faults the streams and traces still match the 1-shard
 // run at every shard count.
 TEST(shard, streams_match_across_shard_counts_under_session_faults) {
-  const std::vector<audio::buffer> streams = fleet_streams(8);
+  const std::vector<audio::buffer> streams = fleet_streams(8, 500);
   const std::size_t block = 2'048;
   fault_config fc;
   fc.seed = 99;
   fc.detector_throw_rate = 0.03;
   fc.corrupt_block_rate = 0.03;
   fc.recognizer_throw_rate = 0.2;
-  fleet_params ref_p;
-  ref_p.shards = 1;
-  ref_p.workers = 1;
-  ref_p.faults = std::make_shared<fault_injector>(fc);
-  // A retry budget no stream exhausts: every session recovers, so no
-  // offer is ever refused and each run sees the same accepted blocks.
-  ref_p.tolerance.max_reopens = 1'000;
-  ref_p.tolerance.backoff_blocks = 1;
-  const fleet_result ref = run_fleet(streams, block, ref_p);
+  const auto faulted = [&fc](fleet_params p) {
+    p.config.faults = std::make_shared<fault_injector>(fc);
+    // A retry budget no stream exhausts: every session recovers, so no
+    // offer is ever refused and each run sees the same accepted blocks.
+    p.config.fault_tolerance.max_reopens = 1'000;
+    p.config.fault_tolerance.backoff_blocks = 1;
+    return p;
+  };
+  const fleet_run ref = run_shards(streams, block, faulted(sharded(1, 1)));
   ASSERT_GT(ref.totals.stats.detector_faults, 0u);
   ASSERT_GT(ref.totals.stats.corrupt_blocks, 0u);
   ASSERT_GT(ref.totals.stats.recognizer_faults, 0u);
@@ -399,18 +238,10 @@ TEST(shard, streams_match_across_shard_counts_under_session_faults) {
   for (const case_t& c : {case_t{"2 shards", 2, 0},
                           case_t{"4 shards", 4, 0},
                           case_t{"4 shards, eviction bound 1", 4, 1}}) {
-    fleet_params p = ref_p;
-    p.shards = c.shards;
-    p.workers = 2;
-    p.max_resident = c.max_resident;
-    const fleet_result got = run_fleet(streams, block, p);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::string what =
-          std::string{c.name} + ", session " + std::to_string(s);
-      expect_same_verdicts(ref.verdicts[s], got.verdicts[s], what);
-      expect_same_outcomes(ref.outcomes[s], got.outcomes[s], what);
-      EXPECT_EQ(ref.traces[s], got.traces[s]) << what;
-    }
+    const fleet_run got = run_shards(
+        streams, block, faulted(sharded(c.shards, 2, c.max_resident)));
+    expect_same_streams(ref, got, c.name);
+    EXPECT_EQ(ref.traces, got.traces) << c.name;
     EXPECT_EQ(ref.totals.stats.quarantines, got.totals.stats.quarantines)
         << c.name;
   }
@@ -434,7 +265,7 @@ TEST(shard, reopen_restores_one_session_on_its_shard) {
   const auto offer_blocks = [&](std::uint64_t id, std::size_t from,
                                 std::size_t to) {
     for (std::size_t b = from; b < to; ++b) {
-      front.offer(id, cut(stream, b * 2'048, (b + 1) * 2'048));
+      front.offer(id, audio::cut(stream, b * 2'048, (b + 1) * 2'048));
     }
   };
   for (std::uint64_t id = 0; id < 6; ++id) {
@@ -481,12 +312,9 @@ TEST(shard, reopen_restores_one_session_on_its_shard) {
 // while the hard mode runs — live workers with a per-shard residency
 // bound forcing the evict/rehydrate cycle.
 TEST(shard, balance_counts_evictions_under_streaming_drain) {
-  const std::vector<audio::buffer> streams = fleet_streams(8);
-  fleet_params p;
-  p.shards = 2;
-  p.workers = 2;
-  p.max_resident = 1;  // per shard: every round trips the eviction heap
-  const fleet_result r = run_fleet(streams, 2'048, p);
+  const std::vector<audio::buffer> streams = fleet_streams(8, 500);
+  // Bound 1 per shard: every round trips the eviction heap.
+  const fleet_run r = run_shards(streams, 2'048, sharded(2, 2, 1));
 
   // The bound actually engaged, and rehydration brought sessions back.
   EXPECT_GT(r.eviction.evictions, 0u);
@@ -530,16 +358,9 @@ TEST(shard, balance_counts_evictions_under_streaming_drain) {
 
   // Same evicting streaming run, different shard count: the streams are
   // bit-identical (the tentpole contract), only the load view moves.
-  fleet_params q = p;
-  q.shards = 1;
-  const fleet_result single = run_fleet(streams, 2'048, q);
+  const fleet_run single = run_shards(streams, 2'048, sharded(1, 2, 1));
   EXPECT_GT(single.eviction.evictions, 0u);
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    expect_same_verdicts(single.verdicts[s], r.verdicts[s],
-                         "session " + std::to_string(s));
-    expect_same_outcomes(single.outcomes[s], r.outcomes[s],
-                         "session " + std::to_string(s));
-  }
+  expect_same_streams(single, r, "1 vs 2 shards");
 }
 
 // Every shard writes the same fleet registry cells, so the resident and
@@ -572,7 +393,7 @@ TEST(shard, fleet_gauges_read_the_fleet_totals) {
     }
     for (std::uint64_t b = 0; b < 3; ++b) {
       for (std::uint64_t id = 0; id < kSessions; ++id) {
-        front.offer(id, cut(stream, b * 2'048, (b + 1) * 2'048));
+        front.offer(id, audio::cut(stream, b * 2'048, (b + 1) * 2'048));
       }
       front.start(1);
       front.stop();
@@ -606,8 +427,8 @@ TEST(shard, finish_scores_every_block_and_flushes_once) {
       front.stop();
     }
     for (std::uint64_t id = 0; id < 4; ++id) {
-      ASSERT_EQ(front.offer(id, cut(command_stream(600 + id), 0,
-                                    static_cast<std::size_t>(0.7 * kRate))),
+      const auto end = static_cast<std::size_t>(0.7 * kRate);
+      ASSERT_EQ(front.offer(id, audio::cut(command_stream(600 + id), 0, end)),
                 offer_status::accepted);
     }
     for (int pass = 0; pass < 2; ++pass) {  // a repeat finish() is a no-op

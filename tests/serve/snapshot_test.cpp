@@ -27,97 +27,13 @@
 #include "common/json_field.h"
 #include "common/json_min.h"
 #include "common/rng.h"
-#include "defense/classifier.h"
 #include "defense/stream.h"
+#include "fleet.h"
 #include "serve/session_manager.h"
-#include "sim/scenario.h"
 #include "synth/commands.h"
 
 namespace ivc::serve {
 namespace {
-
-constexpr double kRate = 16'000.0;
-
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
-}
-
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
-
-audio::buffer command_stream(std::uint64_t seed) {
-  ivc::rng rng{seed};
-  std::vector<audio::buffer> parts;
-  parts.push_back(audio::silence(0.3, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("open_door"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("play_music"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  return audio::remove_dc(audio::concat(parts));
-}
-
-audio::buffer cut(const audio::buffer& b, std::size_t start,
-                    std::size_t end) {
-  return audio::buffer{
-      {b.samples.begin() + static_cast<std::ptrdiff_t>(start),
-       b.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-      b.sample_rate_hz};
-}
-
-serve_config fleet_config() {
-  serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = overflow_policy::reject;
-  pipeline_config pc;
-  pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
-  cfg.pipeline = pc;
-  return cfg;
-}
-
-void expect_same_verdicts(const std::vector<defense::stream_event>& a,
-                          const std::vector<defense::stream_event>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time_s, b[i].time_s) << what << " #" << i;
-    EXPECT_EQ(a[i].score, b[i].score) << what << " #" << i;
-    EXPECT_EQ(a[i].is_attack, b[i].is_attack) << what << " #" << i;
-  }
-}
-
-// Outcome equality minus asr_s (wall time, excluded like latency).
-void expect_same_outcomes(const std::vector<command_outcome>& a,
-                          const std::vector<command_outcome>& b,
-                          const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].start_s, b[i].start_s) << what << " #" << i;
-    EXPECT_EQ(a[i].end_s, b[i].end_s) << what << " #" << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << what << " #" << i;
-    EXPECT_EQ(a[i].fault, b[i].fault) << what << " #" << i;
-    EXPECT_EQ(a[i].command_id, b[i].command_id) << what << " #" << i;
-    EXPECT_EQ(a[i].intent, b[i].intent) << what << " #" << i;
-    EXPECT_EQ(a[i].asr_distance, b[i].asr_distance) << what << " #" << i;
-    EXPECT_EQ(a[i].asr_margin, b[i].asr_margin) << what << " #" << i;
-  }
-}
 
 // ---- stage snapshots -------------------------------------------------
 
@@ -138,7 +54,7 @@ TEST(snapshot, stream_detector_resumes_bit_exactly_at_any_boundary) {
     for (std::size_t start = 0; start < stream.size(); start += chunk) {
       const std::size_t end = std::min(start + chunk, stream.size());
       const std::vector<defense::stream_event> ev =
-          cur.feed(cut(stream, start, end));
+          cur.feed(audio::cut(stream, start, end));
       got.insert(got.end(), ev.begin(), ev.end());
       // Evict at EVERY chunk boundary, alternating the two codecs so
       // both the text writer and the binary TLV round-trip is pinned.
@@ -161,7 +77,7 @@ TEST(snapshot, stream_detector_survives_single_sample_chunking) {
   // 1-sample feeds over a short stream, snapshot/restore every 997
   // samples — the adversarial chunking of the invariance contract.
   const audio::buffer full = command_stream(43);
-  const audio::buffer stream = cut(full, 0, 12'000);
+  const audio::buffer stream = audio::cut(full, 0, 12'000);
   const defense::stream_config sc;
 
   defense::stream_detector ref{tiny_detector(), sc};
@@ -175,7 +91,7 @@ TEST(snapshot, stream_detector_survives_single_sample_chunking) {
   std::vector<defense::stream_event> got;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const std::vector<defense::stream_event> ev =
-        cur.feed(cut(stream, i, i + 1));
+        cur.feed(audio::cut(stream, i, i + 1));
     got.insert(got.end(), ev.begin(), ev.end());
     if (i % 997 == 0) {
       const json::value snap = cur.snapshot();
@@ -205,7 +121,7 @@ TEST(snapshot, segmenter_resumes_the_cut_stream_bit_exactly) {
     std::vector<asr::utterance> got;
     for (std::size_t start = 0; start < stream.size(); start += chunk) {
       const std::size_t end = std::min(start + chunk, stream.size());
-      std::vector<asr::utterance> u = cur.feed(cut(stream, start, end));
+      std::vector<asr::utterance> u = cur.feed(audio::cut(stream, start, end));
       got.insert(got.end(), std::make_move_iterator(u.begin()),
                  std::make_move_iterator(u.end()));
       // Snapshot mid-utterance too: the open utterance state must ride.
@@ -249,7 +165,7 @@ TEST(snapshot, intent_engine_arm_state_rides_through) {
 // Drains a session completely (single consumer, direct process calls).
 void drain_session(detection_session& s) {
   while (s.has_work()) {
-    s.process(0);
+    s.process();
   }
 }
 
@@ -265,8 +181,9 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
   auto ref = std::make_unique<detection_session>(7, tiny_detector(), cfg);
   for (std::size_t start = 0; start < stream.size(); start += 4096) {
     const std::size_t end = std::min(start + 4096, stream.size());
-    ASSERT_EQ(ref->offer(cut(stream, start, end)), offer_status::accepted);
-    ref->process(0);
+    ASSERT_EQ(ref->offer(audio::cut(stream, start, end)),
+              offer_status::accepted);
+    ref->process();
   }
   ref->close();
   drain_session(*ref);
@@ -294,8 +211,8 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
           std::make_unique<detection_session>(7, tiny_detector(), cfg);
       for (std::size_t start = 0; start < v.length; start += 4096) {
         const std::size_t end = std::min(start + 4096, v.length);
-        prefix_ref->offer(cut(stream, start, end));
-        prefix_ref->process(0);
+        prefix_ref->offer(audio::cut(stream, start, end));
+        prefix_ref->process();
       }
       prefix_ref->close();
       drain_session(*prefix_ref);
@@ -307,9 +224,9 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
     std::size_t offers = 0;
     for (std::size_t start = 0; start < v.length; start += v.chunk) {
       const std::size_t end = std::min(start + v.chunk, v.length);
-      ASSERT_EQ(cur->offer(cut(stream, start, end)),
+      ASSERT_EQ(cur->offer(audio::cut(stream, start, end)),
                 offer_status::accepted);
-      cur->process(0);
+      cur->process();
       if (++offers % v.snap_every == 0) {
         json::value snap;
         ASSERT_TRUE(cur->try_snapshot(snap));  // idle: must succeed
@@ -335,10 +252,10 @@ TEST(snapshot, try_snapshot_refuses_non_idle_sessions) {
   const audio::buffer stream = command_stream(46);
 
   // Queued audio is never serialized.
-  ASSERT_EQ(s.offer(cut(stream, 0, 4096)), offer_status::accepted);
+  ASSERT_EQ(s.offer(audio::cut(stream, 0, 4096)), offer_status::accepted);
   json::value snap;
   EXPECT_FALSE(s.try_snapshot(snap));
-  s.process(0);
+  s.process();
   EXPECT_TRUE(s.try_snapshot(snap));
 
   // A close() flush still owed blocks the snapshot too.
@@ -404,7 +321,7 @@ TEST(snapshot, restore_rejects_corrupt_integer_fields_and_missing_trace) {
     detection_session fresh{0, tiny_detector(), cfg};
     EXPECT_THROW(fresh.restore(image), std::invalid_argument) << what;
   }
-  EXPECT_THROW(snapshot_stats(corrupt[3].second, cfg.latency_bins),
+  EXPECT_THROW(snapshot_stats(corrupt[3].second),
                std::invalid_argument);
   EXPECT_THROW(snapshot_state(corrupt[2].second), std::invalid_argument);
   EXPECT_THROW(snapshot_outcomes(corrupt[4].second), std::invalid_argument);
@@ -451,7 +368,7 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
     manager.start(workers);
     for (std::size_t start = 0; start < stream.size(); start += block) {
       const std::size_t end = std::min(start + block, stream.size());
-      const audio::buffer piece = cut(stream, start, end);
+      const audio::buffer piece = audio::cut(stream, start, end);
       // Backpressure, not loss: a rejected offer retries until the
       // worker catches up — every block must reach the session or the
       // bit-identity comparison below would be vacuous.
@@ -497,55 +414,18 @@ TEST(snapshot, fault_recovery_restores_from_checkpoint_deterministically) {
 // ---- manager eviction ------------------------------------------------
 
 TEST(snapshot, manager_enforces_residency_bound_transparently) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    streams.push_back(command_stream(800 + s));
-  }
-  const std::size_t block = 2'048;
-
-  struct fleet_result {
-    std::vector<std::vector<defense::stream_event>> verdicts;
-    std::vector<std::vector<command_outcome>> outcomes;
-    eviction_stats eviction;
+  const std::vector<audio::buffer> streams = fleet_streams(6, 800);
+  // Wait for the workers every round (stop, then start) so sessions go
+  // idle — exactly the shape that lets the LRU evict between one
+  // session's bursts.
+  const auto run = [&streams](std::size_t bound) {
+    fleet_params p;
+    p.config.max_resident_sessions = bound;
+    p.barrier_every = 1;
+    return run_fleet(streams, 2'048, p);
   };
-  auto run = [&](std::size_t bound) {
-    serve_config cfg = fleet_config();
-    cfg.max_resident_sessions = bound;
-    session_manager manager{tiny_detector(), cfg};
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      manager.open_session();
-    }
-    std::size_t max_rounds = 0;
-    for (const audio::buffer& st : streams) {
-      max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-    }
-    // Wait for the workers every round (start, then stop) so sessions
-    // go idle — exactly the shape that lets the LRU evict between one
-    // session's bursts.
-    for (std::size_t round = 0; round < max_rounds; ++round) {
-      for (std::size_t s = 0; s < streams.size(); ++s) {
-        const std::size_t start = round * block;
-        if (start >= streams[s].size()) {
-          continue;
-        }
-        const std::size_t end = std::min(start + block, streams[s].size());
-        manager.offer(s, cut(streams[s], start, end));
-      }
-      manager.start(2);
-      manager.stop();
-    }
-    manager.finish();
-    fleet_result out;
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      out.verdicts.push_back(manager.verdicts(s));
-      out.outcomes.push_back(manager.outcomes(s));
-    }
-    out.eviction = manager.eviction();
-    return out;
-  };
-
-  const fleet_result free_run = run(0);
-  const fleet_result bounded = run(2);
+  const fleet_run free_run = run(0);
+  const fleet_run bounded = run(2);
 
   // The bound actually bit: sessions were evicted AND came back.
   EXPECT_GT(bounded.eviction.evictions, 0u);
@@ -554,13 +434,10 @@ TEST(snapshot, manager_enforces_residency_bound_transparently) {
   EXPECT_EQ(free_run.eviction.evictions, 0u);
 
   // ... and was invisible: every session's streams are bit-identical.
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    ASSERT_GT(free_run.verdicts[s].size(), 0u) << s;  // non-vacuous
-    expect_same_verdicts(free_run.verdicts[s], bounded.verdicts[s],
-                         "session " + std::to_string(s));
-    expect_same_outcomes(free_run.outcomes[s], bounded.outcomes[s],
-                         "session " + std::to_string(s));
+  for (const auto& v : free_run.verdicts) {
+    ASSERT_GT(v.size(), 0u);  // non-vacuous
   }
+  expect_same_streams(free_run, bounded, "bound 2");
 }
 
 TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
@@ -570,7 +447,7 @@ TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
   const audio::buffer stream = command_stream(48);
   for (std::size_t start = 0; start < stream.size(); start += 4'096) {
     const std::size_t end = std::min(start + 4'096, stream.size());
-    manager.offer(sid, cut(stream, start, end));
+    manager.offer(sid, audio::cut(stream, start, end));
   }
   manager.start(1);
   manager.stop();
@@ -603,7 +480,7 @@ TEST(snapshot, frozen_sessions_are_readable_without_rehydrating) {
 
   // A double evict is a no-op; the next offer transparently rehydrates.
   EXPECT_FALSE(manager.evict(sid));
-  EXPECT_EQ(manager.offer(sid, cut(stream, 0, 1'024)),
+  EXPECT_EQ(manager.offer(sid, audio::cut(stream, 0, 1'024)),
             offer_status::accepted);
   EXPECT_TRUE(manager.resident(sid));
   EXPECT_EQ(manager.eviction().rehydrations, 1u);

@@ -24,130 +24,24 @@
 #include "audio/buffer.h"
 #include "audio/ops.h"
 #include "common/json_min.h"
-#include "common/rng.h"
-#include "defense/classifier.h"
+#include "fleet.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "serve/fault.h"
 #include "serve/session_manager.h"
-#include "sim/scenario.h"
-#include "synth/commands.h"
 
 namespace ivc::serve {
 namespace {
 
-constexpr double kRate = 16'000.0;
-
-defense::logistic_classifier tiny_classifier() {
-  ivc::rng rng{90};
-  defense::labelled_features data;
-  for (int i = 0; i < 120; ++i) {
-    defense::trace_features f;
-    const bool attack = i % 2 == 0;
-    const double c = attack ? 1.0 : -1.0;
-    f.low_band_envelope_corr = c + rng.normal(0.0, 0.3);
-    f.low_band_ratio_db = 4.0 * c + rng.normal(0.0, 1.0);
-    f.amplitude_skew = 0.4 * c + rng.normal(0.0, 0.2);
-    f.low_band_waveform_corr = c + rng.normal(0.0, 0.3);
-    data.add(f, attack ? 1 : 0);
-  }
-  defense::logistic_classifier clf;
-  clf.train(data);
-  return clf;
-}
-
-defense::classifier_detector tiny_detector() {
-  return defense::classifier_detector{tiny_classifier()};
-}
-
-audio::buffer command_stream(std::uint64_t seed) {
-  ivc::rng rng{seed};
-  std::vector<audio::buffer> parts;
-  parts.push_back(audio::silence(0.3, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("open_door"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  parts.push_back(synth::render_command(synth::command_by_id("play_music"),
-                                        synth::male_voice(), rng, kRate));
-  parts.push_back(audio::silence(0.4, kRate));
-  return audio::remove_dc(audio::concat(parts));
-}
-
-serve_config fleet_config() {
-  serve_config cfg;
-  cfg.queue_capacity = 64;
-  cfg.policy = overflow_policy::reject;
-  pipeline_config pc;
-  pc.recognizer = sim::shared_enrolled_recognizer(kRate, 1);
-  cfg.pipeline = pc;
-  return cfg;
-}
-
-audio::buffer cut(const audio::buffer& b, std::size_t start,
-                  std::size_t end) {
-  return audio::buffer{
-      {b.samples.begin() + static_cast<std::ptrdiff_t>(start),
-       b.samples.begin() + static_cast<std::ptrdiff_t>(end)},
-      b.sample_rate_hz};
-}
-
-struct telemetry_run {
-  std::string fingerprint;                 // deterministic counter subset
-  std::vector<std::string> traces;         // wall-stripped, per session
-  serve_totals totals;
-};
-
-// Offers every stream in 1024-sample slices round-robin to `workers`
-// streaming workers, with a FRESH registry per run — the telemetry gate
-// compares end-of-run counter values, so runs must not accumulate into a
-// shared registry.
-telemetry_run run_fleet(const std::vector<audio::buffer>& streams,
-                        serve_config cfg, std::size_t workers) {
-  cfg.metrics = std::make_shared<obs::metrics_registry>();
-  session_manager manager{tiny_detector(), cfg};
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    manager.open_session();
-  }
-  manager.start(workers);
-  const std::size_t block = 1'024;
-  std::size_t max_rounds = 0;
-  for (const audio::buffer& st : streams) {
-    max_rounds = std::max(max_rounds, (st.size() + block - 1) / block);
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const std::size_t start = round * block;
-      if (start >= streams[s].size()) {
-        continue;
-      }
-      const std::size_t end = std::min(start + block, streams[s].size());
-      while (manager.offer(s, cut(streams[s], start, end)) ==
-             offer_status::rejected) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-  }
-  manager.finish();
-  telemetry_run out;
-  out.fingerprint = cfg.metrics->deterministic_fingerprint();
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    out.traces.push_back(json::write(
-        obs::encode_spans(obs::strip_wall_clock(manager.trace(s)))));
-  }
-  out.totals = manager.aggregate();
-  return out;
-}
-
 // ---- the determinism gate --------------------------------------------
 
 TEST(telemetry_determinism, fingerprints_identical_across_worker_counts) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    streams.push_back(command_stream(600 + s));
-  }
-  const serve_config cfg = fleet_config();
-  const telemetry_run reference = run_fleet(streams, cfg, /*workers=*/1);
+  const std::vector<audio::buffer> streams = fleet_streams(3, 600);
+  fleet_params p;
+  p.fresh_registry = true;
+  p.workers = 1;
+  const fleet_run reference = run_fleet(streams, 1'024, p);
   // The gate must compare real numbers, not empty objects.
   ASSERT_NE(reference.fingerprint.find("serve_blocks_processed_total"),
             std::string::npos);
@@ -157,7 +51,8 @@ TEST(telemetry_determinism, fingerprints_identical_across_worker_counts) {
   }
 
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    const telemetry_run run = run_fleet(streams, cfg, workers);
+    p.workers = workers;
+    const fleet_run run = run_fleet(streams, 1'024, p);
     EXPECT_EQ(reference.fingerprint, run.fingerprint) << "w=" << workers;
     for (const counter_def& c : session_counters) {
       if (c.deterministic) {
@@ -195,10 +90,7 @@ double registry_value(const obs::metrics_registry& reg, const counter_def& c) {
 }
 
 TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
-  std::vector<audio::buffer> streams;
-  for (std::uint64_t s = 0; s < 2; ++s) {
-    streams.push_back(command_stream(640 + s));
-  }
+  const std::vector<audio::buffer> streams = fleet_streams(2, 640);
   serve_config cfg = fleet_config();
   cfg.metrics = std::make_shared<obs::metrics_registry>();
   cfg.fault_tolerance.backoff_blocks = 2;
@@ -214,14 +106,14 @@ TEST(telemetry_determinism, registry_counters_match_the_fleet_aggregate) {
   for (std::size_t s = 0; s < streams.size(); ++s) {
     for (std::size_t start = 0; start < streams[s].size(); start += block) {
       manager.offer(
-          s, cut(streams[s], start,
-                 std::min(start + block, streams[s].size())));
+          s, audio::cut(streams[s], start,
+                        std::min(start + block, streams[s].size())));
     }
   }
   manager.finish();
   // finish() closed every session: these offers bounce as `closed`.
   for (std::size_t s = 0; s < streams.size(); ++s) {
-    ASSERT_EQ(manager.offer(s, cut(streams[s], 0, block)),
+    ASSERT_EQ(manager.offer(s, audio::cut(streams[s], 0, block)),
               offer_status::closed);
   }
   const serve_totals totals = manager.aggregate();
@@ -272,8 +164,8 @@ TEST(flight_recorder, quarantine_dump_carries_stage_and_error) {
   const audio::buffer stream = command_stream(700);
   const std::size_t block = 2'048;
   for (std::size_t start = 0; start < stream.size(); start += block) {
-    manager.offer(sid, cut(stream, start,
-                           std::min(start + block, stream.size())));
+    manager.offer(sid, audio::cut(stream, start,
+                                  std::min(start + block, stream.size())));
   }
   manager.finish();
   ASSERT_EQ(manager.state(sid), session_state::quarantined);
@@ -325,8 +217,8 @@ TEST(flight_recorder, retried_quarantines_dump_too) {
   const audio::buffer stream = command_stream(701);
   const std::size_t block = 2'048;
   for (std::size_t start = 0; start < stream.size(); start += block) {
-    manager.offer(sid, cut(stream, start,
-                           std::min(start + block, stream.size())));
+    manager.offer(sid, audio::cut(stream, start,
+                                  std::min(start + block, stream.size())));
   }
   manager.finish();
   // The ladder recovered the session — but the black box still dumped
@@ -351,8 +243,8 @@ TEST(flight_recorder, trace_survives_eviction_bit_exactly) {
   const audio::buffer stream = command_stream(702);
   const std::size_t block = 2'048;
   for (std::size_t start = 0; start < stream.size(); start += block) {
-    manager.offer(sid, cut(stream, start,
-                           std::min(start + block, stream.size())));
+    manager.offer(sid, audio::cut(stream, start,
+                                  std::min(start + block, stream.size())));
   }
   manager.start(1);
   manager.stop();
