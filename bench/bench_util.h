@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_min.h"
 #include "sim/experiment.h"
 #include "sim/runlog.h"
 
@@ -131,7 +132,7 @@ class json_report {
   }
 
   void add_table(const std::string& name, const sim::result_table& table) {
-    tables_.emplace_back(name, table.to_json());
+    tables_.emplace_back(name, table.to_json_value());
     grid_signatures_.emplace_back(name, sim::grid_signature(table));
   }
   void add_metric(const std::string& name, double value) {
@@ -150,20 +151,14 @@ class json_report {
     }
     // Seed as a string: 64-bit identities corrupt when a JSON reader
     // rounds them through a double (same rationale as sim/runlog.cpp).
-    out << "{\n  \"figure\": \"" << sim::json_escape(figure_id_)
-        << "\",\n  \"title\": \"" << sim::json_escape(title_)
-        << "\",\n  \"seed\": \"" << seed_ << "\",\n  \"trials\": " << trials_
-        << ",\n  \"metrics\": {";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << '"' << sim::json_escape(metrics_[i].first)
-          << "\": " << sim::format_double_exact(metrics_[i].second);
-    }
-    out << "},\n  \"tables\": {";
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      out << (i == 0 ? "" : ",") << "\n    \""
-          << sim::json_escape(tables_[i].first) << "\": " << tables_[i].second;
-    }
-    out << "\n  }\n}\n";
+    const json::value doc{json::object{
+        {"figure", json::value{figure_id_}},
+        {"title", json::value{title_}},
+        {"seed", json::value{std::to_string(seed_)}},
+        {"trials", json::value{static_cast<double>(trials_)}},
+        {"metrics", sim::metrics_object(metrics_)},
+        {"tables", json::value{tables_}}}};
+    out << json::write(doc) << "\n";
     return out.good();
   }
 
@@ -207,7 +202,7 @@ class json_report {
   std::string signature_;
   std::uint64_t seed_ = 0;
   std::uint64_t trials_ = 0;
-  std::vector<std::pair<std::string, std::string>> tables_;
+  json::object tables_;  // name -> result_table::to_json_value()
   std::vector<std::pair<std::string, std::string>> grid_signatures_;
   std::vector<std::pair<std::string, double>> metrics_;
 };

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -43,18 +42,13 @@ double sample_get(const flat_sample& s, const std::string& key,
   return fallback;
 }
 
-// One fleet-sampler line -> flat numeric map; non-numeric members (none
+// Fleet-sampler lines -> flat numeric maps; non-numeric members (none
 // today) are skipped rather than rejected, so the reader survives
-// future fields.
+// future fields. Torn and non-object lines are skipped by the shared
+// JSONL reader, so a series cut off by a killed run still summarizes.
 std::vector<flat_sample> read_series(const std::string& path) {
   std::vector<flat_sample> series;
-  std::ifstream in{path};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const ivc::json::value v = ivc::json::parse(line);
+  for (const ivc::json::value& v : ivc::sim::read_jsonl_objects(path)) {
     flat_sample s;
     for (const auto& [name, member] : v.members()) {
       if (member.is_number()) {
@@ -64,6 +58,21 @@ std::vector<flat_sample> read_series(const std::string& path) {
     series.push_back(std::move(s));
   }
   return series;
+}
+
+// One "now / was / delta (%)" line. Relative movement makes throughput
+// metrics comparable at a glance across very different scales;
+// |was| keeps the percentage's sign equal to the delta's for
+// negative-valued metrics (dB levels).
+void print_delta(const std::string& name, double now, double was) {
+  const double delta = now - was;
+  if (was != 0.0) {
+    std::printf("  %-28s %14.6g   was %-12.6g %+.6g (%+.1f%%)\n",
+                name.c_str(), now, was, delta, 100.0 * delta / std::abs(was));
+  } else {
+    std::printf("  %-28s %14.6g   was %-12.6g %+.6g\n", name.c_str(), now,
+                was, delta);
+  }
 }
 
 // Collapses a series to the summary lines the report prints. Counters
@@ -128,16 +137,7 @@ int run_metrics_summary(const std::string& current_path,
       std::printf("  %-28s %14.6g\n", name.c_str(), now);
       continue;
     }
-    const double base = sample_get(previous, name);
-    const double delta = now - base;
-    if (base != 0.0) {
-      std::printf("  %-28s %14.6g   was %-12.6g %+.6g (%+.1f%%)\n",
-                  name.c_str(), now, base, delta,
-                  100.0 * delta / std::abs(base));
-    } else {
-      std::printf("  %-28s %14.6g   was %-12.6g %+.6g\n", name.c_str(), now,
-                  base, delta);
-    }
+    print_delta(name, now, sample_get(previous, name));
   }
   return 0;
 }
@@ -195,19 +195,7 @@ int main(int argc, char** argv) {
       continue;
     }
     for (const sim::metric_delta& m : d.deltas) {
-      const double delta = m.latest - m.previous;
-      // Relative movement makes throughput/speedup metrics (the perf
-      // records) comparable at a glance across very different scales.
-      // |previous| keeps the percentage's sign equal to the delta's for
-      // negative-valued metrics (dB levels).
-      if (m.previous != 0.0) {
-        std::printf("  %-28s %14.6g   was %-12.6g %+.6g (%+.1f%%)\n",
-                    m.name.c_str(), m.latest, m.previous, delta,
-                    100.0 * delta / std::abs(m.previous));
-      } else {
-        std::printf("  %-28s %14.6g   was %-12.6g %+.6g\n", m.name.c_str(),
-                    m.latest, m.previous, delta);
-      }
+      print_delta(m.name, m.latest, m.previous);
     }
     // Metrics the latest run added that the previous one lacked: not in
     // deltas, but part of the result.

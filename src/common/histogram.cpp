@@ -142,9 +142,9 @@ void log_histogram::restore(const json::value& snap) {
   expects(bins.size() % 2 == 0,
           "log_histogram::restore: bins must be (index, count) pairs");
   for (std::size_t i = 0; i + 1 < bins.size(); i += 2) {
-    const auto b = static_cast<std::size_t>(bins[i].number());
+    const std::uint64_t b = json::to_u64(bins[i]);
     expects(b < bins_.size(), "log_histogram::restore: bin index out of range");
-    bins_[b] = static_cast<std::uint64_t>(bins[i + 1].number());
+    bins_[b] = json::to_u64(bins[i + 1]);
   }
 }
 

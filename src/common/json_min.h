@@ -1,11 +1,12 @@
 // Minimal JSON reader/writer.
 //
-// Just enough of RFC 8259 to parse back what this codebase writes —
-// result_table::to_json, the bench json_report, and the sim/runlog
-// JSONL records — without an external dependency: null/bool/number/
-// string/array/object, string escapes including \uXXXX, full-precision
-// numbers via strtod. Object members keep file order (our writers are
-// deterministic, so round-trip comparisons stay simple).
+// Just enough of RFC 8259 for every JSON document this codebase writes
+// and reads back — session snapshots, result tables, the bench
+// json_report and the sim/runlog JSONL lines all go through write() —
+// without an external dependency: null/bool/number/string/array/object,
+// string escapes including \uXXXX, full-precision numbers via strtod.
+// Object members keep insertion order (our writers are deterministic,
+// so round-trip comparisons stay simple).
 //
 // write() is the inverse: numbers serialize at max_digits10 precision
 // ("%.17g"), so every finite double — denormals, negative zero, the
@@ -24,6 +25,7 @@
 // promise the way the JSON text form does.
 #pragma once
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <variant>
@@ -78,6 +80,13 @@ value parse(const std::string& text);
 // an exponent, so counters stay greppable. Non-finite numbers have no
 // JSON form and throw std::invalid_argument.
 std::string write(const value& v);
+
+// Reports whose metrics may be NaN or infinite (a rate over zero
+// trials, the level of silence in dB) carry a non-finite number as
+// null; their readers take null back as NaN.
+inline value number_or_null(double v) {
+  return std::isfinite(v) ? value{v} : value{};
+}
 
 // Compact binary form of the same tree (see header comment). Bit-exact
 // for every double including NaN/Inf payloads; same-process only.

@@ -50,10 +50,11 @@ std::vector<span> decode_spans(const json::value& v) {
     const json::array& row = rv.items();
     expects(row.size() == 6, "trace: span row size mismatch");
     span s;
-    const int stage = static_cast<int>(row[0].number());
-    expects(stage >= 0 && stage <= 5, "trace: span stage out of range");
+    const std::uint64_t stage = json::to_u64(row[0]);
+    expects(stage <= static_cast<std::uint64_t>(trace_stage::quarantine),
+            "trace: span stage out of range");
     s.stage = static_cast<trace_stage>(stage);
-    s.index = static_cast<std::uint64_t>(row[1].number());
+    s.index = json::to_u64(row[1]);
     s.t_s = row[2].number();
     s.value = row[3].number();
     s.wall_s = row[4].number();
@@ -114,7 +115,7 @@ json::value trace_ring::snapshot() const {
 }
 
 void trace_ring::restore(const json::value& snap) {
-  expects(static_cast<std::size_t>(json::num(snap, "cap")) == capacity_,
+  expects(json::u64(snap, "cap") == capacity_,
           "trace_ring: snapshot capacity mismatch");
   std::vector<span> spans = decode_spans(json::field(snap, "sp"));
   ring_.clear();

@@ -1,8 +1,11 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/json_min.h"
@@ -25,10 +28,6 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t point) {
   return z ^ (z >> 31);
 }
 
-trial_outcome default_outcome(const trial_result& r) {
-  return trial_outcome{r.success, r.intelligibility};
-}
-
 // rate / CI / mean score over one point's trial outcomes.
 std::vector<double> summarize(const std::vector<trial_outcome>& outcomes) {
   std::size_t successes = 0;
@@ -45,14 +44,46 @@ std::vector<double> summarize(const std::vector<trial_outcome>& outcomes) {
           static_cast<double>(successes), n};
 }
 
-template <class Grid>
-std::vector<std::string> grid_axis_names(const Grid& g) {
-  std::vector<std::string> names;
-  names.reserve(g.axes().size());
-  for (const auto& a : g.axes()) {
-    names.push_back(a.name);
+// Per-metric means over one point's per-trial metric vectors.
+std::vector<double> means(const std::vector<std::vector<double>>& trials) {
+  std::vector<double> sums(trials.front().size(), 0.0);
+  for (const std::vector<double>& trial : trials) {
+    for (std::size_t m = 0; m < sums.size(); ++m) {
+      sums[m] += trial[m];
+    }
   }
-  return names;
+  for (double& m : sums) {
+    m /= static_cast<double>(trials.size());
+  }
+  return sums;
+}
+
+// Wraps a per-trial or per-point metric evaluator with the check that
+// it fills every metric column.
+template <class Eval>
+auto width_checked(std::size_t num_metrics, const Eval& eval) {
+  return [num_metrics, &eval](const auto&... args) {
+    std::vector<double> metrics = eval(args...);
+    ensures(metrics.size() == num_metrics,
+            "engine: evaluator returned wrong metric count");
+    return metrics;
+  };
+}
+
+// One table row per grid point, in grid order.
+template <class Grid>
+result_table grid_table(const Grid& g, std::vector<std::string> metric_names,
+                        std::vector<std::vector<double>> metrics) {
+  std::vector<std::string> axis_names;
+  for (const auto& a : g.axes()) {
+    axis_names.push_back(a.name);
+  }
+  result_table table{std::move(axis_names), std::move(metric_names)};
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    table.add_row(
+        result_table::row{g.labels(p), g.coords(p), std::move(metrics[p])});
+  }
+  return table;
 }
 
 // How many chunks to split each point's trials into. 1 when the grid
@@ -70,28 +101,112 @@ std::size_t chunks_per_point(std::size_t points, std::size_t trials,
   return std::min(trials, (pool + points - 1) / points);
 }
 
-// The (point × trial-chunk) scheduling every engine path shares:
-// run_chunk(point, t_lo, t_hi, slots) fills trial slots [t_lo, t_hi) of
-// its point's pre-sized row. Slots are disjoint across tasks, so the
-// collected outcomes are bit-identical at any thread count.
-template <class Outcome, class RunChunk>
-std::vector<std::vector<Outcome>> scheduled_outcomes(
-    std::size_t points, std::size_t trials, std::size_t num_threads,
-    const RunChunk& run_chunk) {
-  const std::size_t chunks = chunks_per_point(points, trials, num_threads);
+// Where point p's trials run, and the trial index its first trial
+// takes. From a prepared prototype (the fast path): a task-private copy
+// mutated to the point, trial indices p·T + t, the legacy serial
+// sweeps' numbering.
+template <class Scenario, class Session>
+std::pair<Session, std::uint64_t> point_session(
+    const basic_grid<Scenario, Session>& g, std::size_t p,
+    const Session& prototype, const run_config& cfg) {
+  Session session = prototype;
+  g.mutate_session(p, session);
+  return {std::move(session), p * cfg.trials_per_point};
+}
+
+// From a base scenario (the per-point path): the point's own session,
+// seeded from the point index so every axis lands in the trial noise
+// streams, trial indices t. Attack points share one victim per run —
+// the run-seed enrollment unless the caller pinned one — so the
+// template cache makes the per-point builds pay synthesis + rig only.
+std::pair<attack_session, std::uint64_t> point_session(
+    const grid& g, std::size_t p, const attack_scenario& base,
+    const run_config& cfg) {
+  attack_scenario sc = g.scenario_at(p, base);
+  if (sc.enrollment_seed == 0) {
+    sc.enrollment_seed = cfg.seed ^ 0x5eedu;
+  }
+  return {attack_session{sc, mix_seed(cfg.seed, p)}, 0};
+}
+
+std::pair<genuine_session, std::uint64_t> point_session(
+    const genuine_grid& g, std::size_t p, const genuine_scenario& base,
+    const run_config& cfg) {
+  return {genuine_session{g.scenario_at(p, base), mix_seed(cfg.seed, p)}, 0};
+}
+
+// The prototype the fast path copies. A genuine one renders its voice
+// and warms its field cache first, so copies only re-propagate when
+// their point mutates placement.
+attack_session prototype_session(const attack_scenario& base,
+                                 std::uint64_t seed) {
+  return attack_session{base, seed};
+}
+
+genuine_session prototype_session(const genuine_scenario& base,
+                                  std::uint64_t seed) {
+  genuine_session session{base, seed};
+  session.prepare();
+  return session;
+}
+
+// The one trial loop under run, run_over, run_trial_means and
+// run_genuine: `source` is a prototype session or a base scenario
+// (point_session), and outcomes[p][t] = eval(trial t of point p). Work
+// is split into (point × trial-chunk) tasks filling disjoint slots, so
+// the outcomes are bit-identical at any thread count and any split.
+template <class Grid, class Source, class Eval>
+auto grid_trials(const run_config& cfg, const Grid& g, const Source& source,
+                 const Eval& eval) {
+  using session_type = decltype(point_session(g, 0, source, cfg).first);
+  using outcome = std::decay_t<decltype(eval(
+      std::declval<const session_type&>().run_trial(0)))>;
+  const std::size_t trials = cfg.trials_per_point;
+  const std::size_t chunks =
+      chunks_per_point(g.size(), trials, cfg.num_threads);
   const std::size_t chunk_len = (trials + chunks - 1) / chunks;
-  std::vector<std::vector<Outcome>> outcomes(points,
-                                             std::vector<Outcome>(trials));
-  parallel_for(points * chunks, num_threads, [&](std::size_t w) {
+  std::vector<std::vector<outcome>> outcomes(g.size(),
+                                             std::vector<outcome>(trials));
+  parallel_for(g.size() * chunks, cfg.num_threads, [&](std::size_t w) {
     const std::size_t p = w / chunks;
     const std::size_t t_lo = (w % chunks) * chunk_len;
     const std::size_t t_hi = std::min(trials, t_lo + chunk_len);
     if (t_lo >= t_hi) {
       return;
     }
-    run_chunk(p, t_lo, t_hi, outcomes[p]);
+    const auto [session, first] = point_session(g, p, source, cfg);
+    for (std::size_t t = t_lo; t < t_hi; ++t) {
+      outcomes[p][t] = eval(session.run_trial(first + t));
+    }
   });
   return outcomes;
+}
+
+// The success columns over a trial grid.
+template <class Grid, class Source, class Eval>
+result_table success_table(const run_config& cfg, const Grid& g,
+                           const Source& source, const Eval& eval) {
+  const auto outcomes = grid_trials(cfg, g, source, eval);
+  std::vector<std::vector<double>> rows;
+  for (const std::vector<trial_outcome>& point : outcomes) {
+    rows.push_back(summarize(point));
+  }
+  return grid_table(g, success_metric_names(), std::move(rows));
+}
+
+// run_metrics and run_genuine_metrics: one evaluator call per point.
+template <class Grid, class Scenario, class Eval>
+result_table point_metrics(const run_config& cfg, const Grid& g,
+                           const Scenario& base,
+                           std::vector<std::string> metric_names,
+                           const Eval& eval) {
+  expects(!metric_names.empty(), "engine: need metric names");
+  const auto checked = width_checked(metric_names.size(), eval);
+  std::vector<std::vector<double>> rows(g.size());
+  parallel_for(g.size(), cfg.num_threads, [&](std::size_t p) {
+    rows[p] = checked(g.scenario_at(p, base), mix_seed(cfg.seed, p), p);
+  });
+  return grid_table(g, std::move(metric_names), std::move(rows));
 }
 
 // RFC 4180: quote a CSV field when it contains a comma, a quote, or a
@@ -113,119 +228,32 @@ std::string csv_field(const std::string& s) {
   return out;
 }
 
-// Splits RFC 4180 text into records of fields (handles quoted fields
-// with embedded commas, quotes, and line breaks). A trailing newline
-// does not produce an empty record.
-std::vector<std::vector<std::string>> parse_csv_records(
-    const std::string& csv) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  // true once the current record has content
-  for (std::size_t i = 0; i < csv.size(); ++i) {
-    const char c = csv[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < csv.size() && csv[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      field_started = true;
-    } else if (c == ',') {
-      record.push_back(std::move(field));
-      field.clear();
-      field_started = true;
-    } else if (c == '\n' || c == '\r') {
-      if (c == '\r' && i + 1 < csv.size() && csv[i + 1] == '\n') {
-        ++i;
-      }
-      if (field_started || !field.empty()) {
-        record.push_back(std::move(field));
-        field.clear();
-        records.push_back(std::move(record));
-        record.clear();
-        field_started = false;
-      }
-    } else {
-      field += c;
-      field_started = true;
-    }
-  }
-  if (in_quotes) {
-    throw std::invalid_argument{"result_table::from_csv: unterminated quote"};
-  }
-  if (field_started || !field.empty()) {
-    record.push_back(std::move(field));
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-double parse_double_exact(const std::string& s, const char* context) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    throw std::invalid_argument{std::string{context} + ": bad number '" + s +
-                                "'"};
-  }
-  return v;
-}
-
-const std::string coord_suffix = ":coord";
-
-}  // namespace
-
-std::string format_double_exact(double v) {
+std::string csv_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return std::string{buf};
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters would corrupt the document (and
-        // a JSONL run log in particular); emit \u00XX.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
+json::value json_strings(const std::vector<std::string>& strings) {
+  json::array a;
+  for (const std::string& s : strings) {
+    a.emplace_back(s);
   }
-  return out;
+  return json::value{std::move(a)};
+}
+
+json::value json_numbers(const std::vector<double>& numbers) {
+  json::array a;
+  for (const double v : numbers) {
+    a.push_back(json::number_or_null(v));
+  }
+  return json::value{std::move(a)};
+}
+
+}  // namespace
+
+trial_outcome default_outcome(const trial_result& r) {
+  return trial_outcome{r.success, r.intelligibility};
 }
 
 // -------------------------------------------------------------------- axes
@@ -394,24 +422,7 @@ genuine_axis genuine_voice_axis(
 result_table::result_table(std::vector<std::string> axis_names,
                            std::vector<std::string> metric_names)
     : axis_names_{std::move(axis_names)},
-      metric_names_{std::move(metric_names)} {
-  // ":coord" is reserved for the CSV coordinate columns; a column named
-  // that way would make a written table parse back with the wrong
-  // shape, so reject it at the source.
-  const auto reserved = [](const std::string& name) {
-    return name.size() >= coord_suffix.size() &&
-           name.compare(name.size() - coord_suffix.size(),
-                        coord_suffix.size(), coord_suffix) == 0;
-  };
-  for (const std::string& name : axis_names_) {
-    expects(!reserved(name),
-            "result_table: axis name '" + name + "' uses reserved ':coord'");
-  }
-  for (const std::string& name : metric_names_) {
-    expects(!reserved(name),
-            "result_table: metric name '" + name + "' uses reserved ':coord'");
-  }
-}
+      metric_names_{std::move(metric_names)} {}
 
 double result_table::metric(std::size_t row_index,
                             const std::string& name) const {
@@ -452,7 +463,7 @@ void result_table::write_csv(std::ostream& out) const {
   };
   for (const std::string& a : axis_names_) {
     cell(a);
-    cell(a + coord_suffix);
+    cell(a + ":coord");
   }
   for (const std::string& m : metric_names_) {
     cell(m);
@@ -462,10 +473,10 @@ void result_table::write_csv(std::ostream& out) const {
     first = true;
     for (std::size_t a = 0; a < r.labels.size(); ++a) {
       cell(r.labels[a]);
-      cell(format_double_exact(r.coords[a]));
+      cell(csv_number(r.coords[a]));
     }
     for (const double m : r.metrics) {
-      cell(format_double_exact(m));
+      cell(csv_number(m));
     }
     out << "\n";
   }
@@ -483,130 +494,26 @@ void result_table::write_csv_file(const std::string& path) const {
   write_csv(out);
 }
 
-result_table result_table::from_csv(const std::string& csv) {
-  const std::vector<std::vector<std::string>> records =
-      parse_csv_records(csv);
-  if (records.empty()) {
-    throw std::invalid_argument{"result_table::from_csv: empty input"};
+json::value result_table::to_json_value() const {
+  json::array rows;
+  for (const row& r : rows_) {
+    rows.emplace_back(json::object{{"labels", json_strings(r.labels)},
+                                   {"coords", json_numbers(r.coords)},
+                                   {"metrics", json_numbers(r.metrics)}});
   }
-  const std::vector<std::string>& header = records.front();
-
-  // The axis block is self-describing: each axis label column is
-  // immediately followed by its "<axis>:coord" column.
-  std::vector<std::string> axis_names;
-  std::size_t col = 0;
-  while (col + 1 < header.size() &&
-         header[col + 1] == header[col] + coord_suffix) {
-    axis_names.push_back(header[col]);
-    col += 2;
-  }
-  std::vector<std::string> metric_names(header.begin() + col, header.end());
-
-  result_table table{axis_names, metric_names};
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    const std::vector<std::string>& cells = records[i];
-    if (cells.size() != header.size()) {
-      throw std::invalid_argument{
-          "result_table::from_csv: row " + std::to_string(i) + " has " +
-          std::to_string(cells.size()) + " cells, expected " +
-          std::to_string(header.size())};
-    }
-    row r;
-    for (std::size_t a = 0; a < axis_names.size(); ++a) {
-      r.labels.push_back(cells[2 * a]);
-      r.coords.push_back(
-          parse_double_exact(cells[2 * a + 1], "result_table::from_csv"));
-    }
-    for (std::size_t m = 2 * axis_names.size(); m < cells.size(); ++m) {
-      r.metrics.push_back(
-          parse_double_exact(cells[m], "result_table::from_csv"));
-    }
-    table.add_row(std::move(r));
-  }
-  return table;
-}
-
-void result_table::write_json(std::ostream& out) const {
-  const auto write_names = [&out](const std::vector<std::string>& names) {
-    out << "[";
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << '"' << json_escape(names[i]) << '"';
-    }
-    out << "]";
-  };
-  out << "{\n  \"axis_names\": ";
-  write_names(axis_names_);
-  out << ",\n  \"metric_names\": ";
-  write_names(metric_names_);
-  out << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const row& r = rows_[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"labels\": ";
-    write_names(r.labels);
-    out << ", \"coords\": [";
-    for (std::size_t a = 0; a < r.coords.size(); ++a) {
-      out << (a == 0 ? "" : ", ") << format_double_exact(r.coords[a]);
-    }
-    out << "], \"metrics\": [";
-    for (std::size_t m = 0; m < r.metrics.size(); ++m) {
-      out << (m == 0 ? "" : ", ") << format_double_exact(r.metrics[m]);
-    }
-    out << "]}";
-  }
-  out << "\n  ]\n}\n";
+  return json::value{json::object{{"axis_names", json_strings(axis_names_)},
+                                  {"metric_names", json_strings(metric_names_)},
+                                  {"rows", json::value{std::move(rows)}}}};
 }
 
 std::string result_table::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
+  return json::write(to_json_value());
 }
 
 void result_table::write_json_file(const std::string& path) const {
   std::ofstream out{path};
   ensures(out.good(), "result_table: cannot open '" + path + "'");
-  write_json(out);
-}
-
-result_table result_table::from_json(const std::string& text) {
-  const json::value doc = json::parse(text);
-  const auto names_of = [](const json::value* v, const char* what) {
-    if (v == nullptr || !v->is_array()) {
-      throw std::invalid_argument{
-          std::string{"result_table::from_json: missing "} + what};
-    }
-    std::vector<std::string> names;
-    for (const json::value& item : v->items()) {
-      names.push_back(item.string());
-    }
-    return names;
-  };
-  const auto numbers_of = [](const json::value* v, const char* what) {
-    if (v == nullptr || !v->is_array()) {
-      throw std::invalid_argument{
-          std::string{"result_table::from_json: row missing "} + what};
-    }
-    std::vector<double> numbers;
-    for (const json::value& item : v->items()) {
-      numbers.push_back(item.number());
-    }
-    return numbers;
-  };
-
-  result_table table{names_of(doc.find("axis_names"), "axis_names"),
-                     names_of(doc.find("metric_names"), "metric_names")};
-  const json::value* rows = doc.find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    throw std::invalid_argument{"result_table::from_json: missing rows"};
-  }
-  for (const json::value& r : rows->items()) {
-    row parsed;
-    parsed.labels = names_of(r.find("labels"), "labels");
-    parsed.coords = numbers_of(r.find("coords"), "coords");
-    parsed.metrics = numbers_of(r.find("metrics"), "metrics");
-    table.add_row(std::move(parsed));
-  }
-  return table;
+  out << to_json() << "\n";
 }
 
 void result_table::print(std::FILE* out) const {
@@ -656,69 +563,19 @@ engine::engine(run_config config) : config_{config} {
           "engine: trials_per_point must be > 0");
 }
 
-result_table engine::run(const attack_scenario& base, const grid& g) const {
-  return run(base, g, default_outcome);
-}
-
 result_table engine::run(const attack_scenario& base, const grid& g,
                          const trial_evaluator& eval) const {
   if (g.session_mutable()) {
-    return run_over(attack_session{base, config_.seed}, g, eval);
+    return run_over(prototype_session(base, config_.seed), g, eval);
   }
-  result_table table{grid_axis_names(g), success_metric_names()};
-  const std::size_t trials = config_.trials_per_point;
-  const auto outcomes = scheduled_outcomes<trial_outcome>(
-      g.size(), trials, config_.num_threads,
-      [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-          std::vector<trial_outcome>& slots) {
-        attack_scenario sc = g.scenario_at(p, base);
-        // One victim per run: every point shares the run-seed enrollment
-        // (unless the caller pinned one), so the template cache makes the
-        // per-point session builds pay synthesis + rig only.
-        if (sc.enrollment_seed == 0) {
-          sc.enrollment_seed = config_.seed ^ 0x5eedu;
-        }
-        const attack_session session{sc, mix_seed(config_.seed, p)};
-        for (std::size_t t = t_lo; t < t_hi; ++t) {
-          slots[t] = eval(session.run_trial(t));
-        }
-      });
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    table.add_row(
-        result_table::row{g.labels(p), g.coords(p), summarize(outcomes[p])});
-  }
-  return table;
-}
-
-result_table engine::run_over(const attack_session& prototype,
-                              const grid& g) const {
-  return run_over(prototype, g, default_outcome);
+  return success_table(config_, g, base, eval);
 }
 
 result_table engine::run_over(const attack_session& prototype, const grid& g,
                               const trial_evaluator& eval) const {
   expects(g.session_mutable(),
           "engine::run_over: every axis must be session-mutable");
-  result_table table{grid_axis_names(g), success_metric_names()};
-  const std::size_t trials = config_.trials_per_point;
-  const auto outcomes = scheduled_outcomes<trial_outcome>(
-      g.size(), trials, config_.num_threads,
-      [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-          std::vector<trial_outcome>& slots) {
-        attack_session session = prototype;  // task-private copy
-        g.mutate_session(p, session);
-        // Trial indices accumulate across points, matching the legacy
-        // serial sweeps bit for bit.
-        const std::uint64_t base_index = p * trials;
-        for (std::size_t t = t_lo; t < t_hi; ++t) {
-          slots[t] = eval(session.run_trial(base_index + t));
-        }
-      });
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    table.add_row(
-        result_table::row{g.labels(p), g.coords(p), summarize(outcomes[p])});
-  }
-  return table;
+  return success_table(config_, g, prototype, eval);
 }
 
 result_table engine::run_trial_means(const attack_scenario& base,
@@ -726,153 +583,41 @@ result_table engine::run_trial_means(const attack_scenario& base,
                                      std::vector<std::string> metric_names,
                                      const trial_metrics_evaluator& eval)
     const {
-  expects(!metric_names.empty(), "engine::run_trial_means: need metric names");
-  const std::size_t num_metrics = metric_names.size();
-  result_table table{grid_axis_names(g), std::move(metric_names)};
-  const std::size_t trials = config_.trials_per_point;
-
-  const auto checked = [&](std::vector<double> metrics) {
-    ensures(metrics.size() == num_metrics,
-            "engine::run_trial_means: evaluator returned wrong metric count");
-    return metrics;
-  };
-
-  std::vector<std::vector<std::vector<double>>> outcomes;
-  if (g.session_mutable()) {
-    // Same fast path as run_over: one build, task-private copies, trial
-    // indices accumulating across points.
-    const attack_session prototype{base, config_.seed};
-    outcomes = scheduled_outcomes<std::vector<double>>(
-        g.size(), trials, config_.num_threads,
-        [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-            std::vector<std::vector<double>>& slots) {
-          attack_session session = prototype;
-          g.mutate_session(p, session);
-          const std::uint64_t base_index = p * trials;
-          for (std::size_t t = t_lo; t < t_hi; ++t) {
-            slots[t] = checked(eval(session.run_trial(base_index + t)));
-          }
-        });
-  } else {
-    outcomes = scheduled_outcomes<std::vector<double>>(
-        g.size(), trials, config_.num_threads,
-        [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-            std::vector<std::vector<double>>& slots) {
-          attack_scenario sc = g.scenario_at(p, base);
-          if (sc.enrollment_seed == 0) {
-            sc.enrollment_seed = config_.seed ^ 0x5eedu;
-          }
-          const attack_session session{sc, mix_seed(config_.seed, p)};
-          for (std::size_t t = t_lo; t < t_hi; ++t) {
-            slots[t] = checked(eval(session.run_trial(t)));
-          }
-        });
+  expects(!metric_names.empty(), "engine: need metric names");
+  const auto checked = width_checked(metric_names.size(), eval);
+  const auto outcomes =
+      g.session_mutable()
+          ? grid_trials(config_, g, prototype_session(base, config_.seed),
+                        checked)
+          : grid_trials(config_, g, base, checked);
+  std::vector<std::vector<double>> rows;
+  for (const std::vector<std::vector<double>>& point : outcomes) {
+    rows.push_back(means(point));
   }
-
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    std::vector<double> means(num_metrics, 0.0);
-    for (const std::vector<double>& trial : outcomes[p]) {
-      for (std::size_t m = 0; m < num_metrics; ++m) {
-        means[m] += trial[m];
-      }
-    }
-    for (double& m : means) {
-      m /= static_cast<double>(trials);
-    }
-    table.add_row(
-        result_table::row{g.labels(p), g.coords(p), std::move(means)});
-  }
-  return table;
+  return grid_table(g, std::move(metric_names), std::move(rows));
 }
 
 result_table engine::run_genuine(const genuine_scenario& base,
                                  const genuine_grid& g,
                                  const genuine_trial_evaluator& eval) const {
-  result_table table{grid_axis_names(g), success_metric_names()};
-  const std::size_t trials = config_.trials_per_point;
-
-  std::vector<std::vector<trial_outcome>> outcomes;
   if (g.session_mutable()) {
-    // One rendition for the whole grid; global trial indices keep the
-    // noise streams distinct per (point, trial). Warm the field cache
-    // so copies only re-propagate when their point mutates placement.
-    const genuine_session prototype{base, config_.seed};
-    prototype.prepare();
-    outcomes = scheduled_outcomes<trial_outcome>(
-        g.size(), trials, config_.num_threads,
-        [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-            std::vector<trial_outcome>& slots) {
-          genuine_session session = prototype;  // task-private copy
-          g.mutate_session(p, session);
-          const std::uint64_t base_index = p * trials;
-          for (std::size_t t = t_lo; t < t_hi; ++t) {
-            slots[t] = eval(session.run_trial(base_index + t));
-          }
-        });
-  } else {
-    // Per-point sessions seeded from the point index: every axis —
-    // ambient level included — lands in the per-trial noise streams,
-    // so no two grid points reuse a voice or noise rendition (the
-    // legacy F-R9 loop reset its seed per ambient level and did).
-    outcomes = scheduled_outcomes<trial_outcome>(
-        g.size(), trials, config_.num_threads,
-        [&](std::size_t p, std::size_t t_lo, std::size_t t_hi,
-            std::vector<trial_outcome>& slots) {
-          const genuine_session session{g.scenario_at(p, base),
-                                        mix_seed(config_.seed, p)};
-          for (std::size_t t = t_lo; t < t_hi; ++t) {
-            slots[t] = eval(session.run_trial(t));
-          }
-        });
+    return success_table(config_, g, prototype_session(base, config_.seed),
+                         eval);
   }
-
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    table.add_row(
-        result_table::row{g.labels(p), g.coords(p), summarize(outcomes[p])});
-  }
-  return table;
+  return success_table(config_, g, base, eval);
 }
 
 result_table engine::run_metrics(const attack_scenario& base, const grid& g,
                                  std::vector<std::string> metric_names,
                                  const point_evaluator& eval) const {
-  expects(!metric_names.empty(), "engine::run_metrics: need metric names");
-  const std::size_t num_metrics = metric_names.size();
-  result_table table{grid_axis_names(g), std::move(metric_names)};
-  std::vector<result_table::row> rows(g.size());
-  parallel_for(g.size(), config_.num_threads, [&](std::size_t p) {
-    std::vector<double> metrics =
-        eval(g.scenario_at(p, base), mix_seed(config_.seed, p), p);
-    ensures(metrics.size() == num_metrics,
-            "engine::run_metrics: evaluator returned wrong metric count");
-    rows[p] = result_table::row{g.labels(p), g.coords(p), std::move(metrics)};
-  });
-  for (result_table::row& r : rows) {
-    table.add_row(std::move(r));
-  }
-  return table;
+  return point_metrics(config_, g, base, std::move(metric_names), eval);
 }
 
 result_table engine::run_genuine_metrics(
     const genuine_scenario& base, const genuine_grid& g,
     std::vector<std::string> metric_names,
     const genuine_point_evaluator& eval) const {
-  expects(!metric_names.empty(),
-          "engine::run_genuine_metrics: need metric names");
-  const std::size_t num_metrics = metric_names.size();
-  result_table table{grid_axis_names(g), std::move(metric_names)};
-  std::vector<result_table::row> rows(g.size());
-  parallel_for(g.size(), config_.num_threads, [&](std::size_t p) {
-    std::vector<double> metrics =
-        eval(g.scenario_at(p, base), mix_seed(config_.seed, p), p);
-    ensures(metrics.size() == num_metrics,
-            "engine::run_genuine_metrics: evaluator returned wrong count");
-    rows[p] = result_table::row{g.labels(p), g.coords(p), std::move(metrics)};
-  });
-  for (result_table::row& r : rows) {
-    table.add_row(std::move(r));
-  }
-  return table;
+  return point_metrics(config_, g, base, std::move(metric_names), eval);
 }
 
 }  // namespace ivc::sim

@@ -18,8 +18,8 @@
 //     distance/level/device on the genuine side), so the expensive
 //     build happens once per run instead of once per point,
 //   * collects results into a typed `result_table` with success rates,
-//     Wilson intervals, and CSV/JSON writers **and parsers**, so benches
-//     stop formatting by hand and written tables round-trip.
+//     Wilson intervals, a CSV writer and a JSON form built for
+//     json::write, so benches stop formatting by hand.
 //
 // The axis/grid machinery is templated over (scenario, session) pairs:
 // `axis`/`grid` sweep `attack_scenario`/`attack_session`,
@@ -40,6 +40,10 @@
 #include "common/error.h"
 #include "sim/scenario.h"
 #include "sim/sweep.h"
+
+namespace ivc::json {
+class value;
+}  // namespace ivc::json
 
 namespace ivc::sim {
 
@@ -231,12 +235,6 @@ using genuine_grid = basic_grid<genuine_scenario, genuine_session>;
 
 // --------------------------------------------------------------- results
 
-// Serialization helpers shared by result_table and the bench JSON
-// reporters: minimal JSON string escaping, and double formatting with
-// enough digits to round-trip bit-identically.
-std::string json_escape(const std::string& s);
-std::string format_double_exact(double v);
-
 // A rectangular result set: one row per grid point, axis columns
 // (label + numeric coordinate) followed by named metric columns.
 class result_table {
@@ -269,25 +267,17 @@ class result_table {
 
   // CSV: per axis a label column and a "<axis>:coord" numeric column,
   // then the metric columns. Fields are quoted per RFC 4180 ('"'
-  // doubling) and doubles written at full precision, so a written table
-  // parses back bit-identically through from_csv.
+  // doubling) and doubles written at full precision ("%.17g").
   std::string to_csv() const;
   void write_csv(std::ostream& out) const;
   void write_csv_file(const std::string& path) const;
 
-  // Inverse of to_csv(): throws std::invalid_argument on malformed
-  // input or a header without the axis/coord column structure.
-  static result_table from_csv(const std::string& csv);
-
   // JSON object {axis_names, metric_names, rows:[{labels, coords,
-  // metrics}]} at full precision.
-  std::string to_json() const;
-  void write_json(std::ostream& out) const;
+  // metrics}]}; json::parse reads every finite value back bit-exactly,
+  // and a non-finite one is null (json::number_or_null).
+  json::value to_json_value() const;
+  std::string to_json() const;  // json::write(to_json_value())
   void write_json_file(const std::string& path) const;
-
-  // Inverse of to_json(); throws std::invalid_argument on malformed or
-  // mis-shaped input.
-  static result_table from_json(const std::string& json);
 
   // Fixed-width human-readable table (what benches print).
   void print(std::FILE* out = stdout) const;
@@ -316,6 +306,9 @@ struct trial_outcome {
 };
 using trial_evaluator = std::function<trial_outcome(const trial_result&)>;
 
+// The default evaluator: recognizer success, scored by intelligibility.
+trial_outcome default_outcome(const trial_result& r);
+
 // Genuine-side evaluator: judges one genuine capture (e.g. "the defense
 // false-alarmed on it").
 using genuine_trial_evaluator =
@@ -340,16 +333,14 @@ class engine {
   // rate / Wilson CI / mean score. The default evaluator scores
   // recognizer success and intelligibility; pass `eval` to redefine
   // what counts as success (e.g. "the defense detected the capture").
-  result_table run(const attack_scenario& base, const grid& g) const;
   result_table run(const attack_scenario& base, const grid& g,
-                   const trial_evaluator& eval) const;
+                   const trial_evaluator& eval = default_outcome) const;
 
   // Fast path over a caller-prepared session; every grid axis must be
-  // session-mutable. Trial indices accumulate across points exactly
-  // like the legacy serial sweeps, so results match them bit for bit.
-  result_table run_over(const attack_session& prototype, const grid& g) const;
+  // session-mutable. Point p runs trial indices p·T + t, so row p equals
+  // estimate_success(session at p, T, p·T) bit for bit.
   result_table run_over(const attack_session& prototype, const grid& g,
-                        const trial_evaluator& eval) const;
+                        const trial_evaluator& eval = default_outcome) const;
 
   // Per-point means of per-trial metric vectors (the F-R10 shape: one
   // row per cancellation accuracy, columns for residual trace, defense

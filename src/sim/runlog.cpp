@@ -4,9 +4,10 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <limits>
 
 #include "common/error.h"
-#include "common/json_min.h"
+#include "common/json_field.h"
 
 namespace ivc::sim {
 namespace {
@@ -62,40 +63,54 @@ std::string run_key(const run_record& record) {
          std::to_string(record.seed) + "|" + std::to_string(record.trials);
 }
 
+json::value metrics_object(
+    const std::vector<std::pair<std::string, double>>& metrics) {
+  json::object o;
+  for (const auto& [name, value] : metrics) {
+    o.emplace_back(name, json::number_or_null(value));
+  }
+  return json::value{std::move(o)};
+}
+
 void append_run_record(const std::string& path, const run_record& record) {
   std::ofstream out{path, std::ios::app};
   ensures(out.good(), "runlog: cannot open '" + path + "'");
   // The seed is written as a string: it is a 64-bit identity, and JSON
   // readers (ours included) round numbers through a double, which
   // corrupts values above 2^53.
-  out << "{\"figure\": \"" << json_escape(record.figure)
-      << "\", \"grid\": \"" << json_escape(record.grid_signature)
-      << "\", \"seed\": \"" << record.seed << "\", \"trials\": "
-      << record.trials << ", \"timestamp\": \""
-      << json_escape(record.timestamp.empty() ? utc_timestamp_now()
-                                              : record.timestamp)
-      << "\", \"metrics\": {";
-  for (std::size_t i = 0; i < record.metrics.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << '"' << json_escape(record.metrics[i].first)
-        << "\": " << format_double_exact(record.metrics[i].second);
-  }
-  out << "}}\n";
+  const json::value line{json::object{
+      {"figure", json::value{record.figure}},
+      {"grid", json::value{record.grid_signature}},
+      {"seed", json::value{std::to_string(record.seed)}},
+      {"trials", json::value{static_cast<double>(record.trials)}},
+      {"timestamp", json::value{record.timestamp.empty() ? utc_timestamp_now()
+                                                         : record.timestamp}},
+      {"metrics", metrics_object(record.metrics)}}};
+  out << json::write(line) << "\n";
   ensures(out.good(), "runlog: write to '" + path + "' failed");
+}
+
+std::vector<json::value> read_jsonl_objects(const std::string& path) {
+  std::vector<json::value> objects;
+  std::ifstream in{path};
+  std::string line;
+  while (std::getline(in, line)) {
+    try {
+      json::value v = json::parse(line);
+      if (v.is_object()) {
+        objects.push_back(std::move(v));
+      }
+    } catch (const std::invalid_argument&) {
+      // Blank or torn line: skip it, keep the rest of the file usable.
+    }
+  }
+  return objects;
 }
 
 std::vector<run_record> read_run_log(const std::string& path) {
   std::vector<run_record> records;
-  std::ifstream in{path};
-  if (!in.good()) {
-    return records;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
+  for (const json::value& doc : read_jsonl_objects(path)) {
     try {
-      const json::value doc = json::parse(line);
       run_record r;
       if (const json::value* v = doc.find("figure")) {
         r.figure = v->string();
@@ -108,10 +123,10 @@ std::vector<run_record> read_run_log(const std::string& path) {
         // older lines.
         r.seed = v->is_string()
                      ? std::strtoull(v->string().c_str(), nullptr, 10)
-                     : static_cast<std::uint64_t>(v->number());
+                     : json::to_u64(*v);
       }
       if (const json::value* v = doc.find("trials")) {
-        r.trials = static_cast<std::uint64_t>(v->number());
+        r.trials = json::to_u64(*v);
       }
       if (const json::value* v = doc.find("timestamp")) {
         r.timestamp = v->string();
@@ -120,12 +135,15 @@ std::vector<run_record> read_run_log(const std::string& path) {
         for (const auto& [name, metric] : v->members()) {
           if (metric.is_number()) {
             r.metrics.emplace_back(name, metric.number());
+          } else if (metric.is_null()) {
+            r.metrics.emplace_back(name,
+                                   std::numeric_limits<double>::quiet_NaN());
           }
         }
       }
       records.push_back(std::move(r));
     } catch (const std::invalid_argument&) {
-      // Torn or foreign line: skip it, keep the rest of the log usable.
+      // Foreign line (a field of the wrong type or range): skip it.
     }
   }
   return records;

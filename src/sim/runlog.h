@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_min.h"
 #include "sim/experiment.h"
 
 namespace ivc::sim {
@@ -43,14 +44,26 @@ std::string grid_signature(const result_table& table);
 std::string run_key(const run_record& record);
 
 // Appends one JSONL line to `path`, creating the file when missing.
-// Fills record.timestamp (in the written line only) when empty. Throws
-// when the file cannot be opened.
+// Fills record.timestamp (in the written line only) when empty; a
+// non-finite metric is written as null. Throws when the file cannot be
+// opened.
 void append_run_record(const std::string& path, const run_record& record);
 
-// Reads every record in file order. Returns an empty vector for a
-// missing file; skips lines that fail to parse (a torn write must not
-// poison the whole log).
+// Reads every record in file order, a null metric as NaN. Returns an
+// empty vector for a missing file; skips torn and foreign lines (a
+// torn write must not poison the whole log).
 std::vector<run_record> read_run_log(const std::string& path);
+
+// The one JSONL reader (run logs, fleet-sampler series): every line
+// that parses as a JSON object, in file order. Blank lines, lines that
+// fail to parse (a write torn by a killed run) and lines that are not
+// objects are skipped. A missing file reads as empty.
+std::vector<json::value> read_jsonl_objects(const std::string& path);
+
+// Named metrics as a JSON object in insertion order, a non-finite value
+// as null: the "metrics" member of run-log lines and bench reports.
+json::value metrics_object(
+    const std::vector<std::pair<std::string, double>>& metrics);
 
 // One metric present in a key's latest and previous records.
 struct metric_delta {

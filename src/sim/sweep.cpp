@@ -7,29 +7,6 @@
 #include "sim/experiment.h"
 
 namespace ivc::sim {
-namespace {
-
-// Runs a one-axis grid over copies of `session` and converts the rows
-// back to the classic sweep_point curve.
-std::vector<sweep_point> sweep_axis(const attack_session& session, axis ax,
-                                    std::size_t trials_per_point,
-                                    std::size_t num_threads) {
-  run_config cfg;
-  cfg.trials_per_point = trials_per_point;
-  cfg.num_threads = num_threads;
-  const engine eng{cfg};
-  const grid g = grid::cartesian({std::move(ax)});
-  const result_table table = eng.run_over(session, g);
-  std::vector<sweep_point> points;
-  points.reserve(table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    points.push_back(sweep_point{table.at(i).coords[0], table.estimate(i)});
-  }
-  return points;
-}
-
-}  // namespace
-
 interval wilson_interval(std::size_t successes, std::size_t trials) {
   expects(trials > 0, "wilson_interval: trials must be > 0");
   constexpr double z = 1.96;  // 95%
@@ -64,24 +41,6 @@ success_estimate estimate_success(const attack_session& session,
   return est;
 }
 
-std::vector<sweep_point> sweep_distance(const attack_session& session,
-                                        const std::vector<double>& distances_m,
-                                        std::size_t trials_per_point,
-                                        std::size_t num_threads) {
-  expects(!distances_m.empty(), "sweep_distance: need at least one distance");
-  return sweep_axis(session, distance_axis(distances_m), trials_per_point,
-                    num_threads);
-}
-
-std::vector<sweep_point> sweep_power(const attack_session& session,
-                                     const std::vector<double>& powers_w,
-                                     std::size_t trials_per_point,
-                                     std::size_t num_threads) {
-  expects(!powers_w.empty(), "sweep_power: need at least one power");
-  return sweep_axis(session, power_axis(powers_w), trials_per_point,
-                    num_threads);
-}
-
 double max_attack_range_m(const attack_session& session, double min_rate,
                           std::size_t trials_per_point, double start_m,
                           double max_m, double step_m,
@@ -97,13 +56,15 @@ double max_attack_range_m(const attack_session& session, double min_rate,
   for (double d = start_m; d <= max_m + 1e-9; d += step_m) {
     ladder.push_back(d);
   }
-  const std::vector<sweep_point> points =
-      sweep_axis(session, distance_axis(ladder), trials_per_point,
-                 num_threads);
+  run_config cfg;
+  cfg.trials_per_point = trials_per_point;
+  cfg.num_threads = num_threads;
+  const result_table table = engine{cfg}.run_over(
+      session, grid::cartesian({distance_axis(ladder)}));
   double best = 0.0;
-  for (const sweep_point& point : points) {
-    if (point.result.rate >= min_rate) {
-      best = point.x;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (table.metric(i, "rate") >= min_rate) {
+      best = table.at(i).coords[0];
     } else if (best > 0.0) {
       break;  // past the edge of the working range
     }

@@ -1,16 +1,12 @@
-// Sweep drivers: success-rate estimation over distance, power, and
-// carrier frequency — the machinery behind every attack-performance table
-// and figure.
+// Success-rate estimation: the binomial statistics behind every attack
+// table and figure, a one-point estimate over a prepared session, and
+// the range scan the papers report.
 //
-// The sweep functions are thin wrappers over the declarative experiment
-// engine (sim/experiment.h), preserved for callers that want a one-call
-// curve; new experiments should build a grid and use the engine
-// directly. Wrapper results match the legacy serial implementations bit
-// for bit (same session seed, same per-point trial bases), but the
-// points now run on a thread pool.
+// Curves over distance, power, or any other axis are grids on the
+// experiment engine (sim/experiment.h): `engine::run_over` runs a
+// prepared session over a session-mutable grid, and its row p equals
+// `estimate_success(session at p, T, p·T)` bit for bit.
 #pragma once
-
-#include <vector>
 
 #include "sim/scenario.h"
 
@@ -40,27 +36,11 @@ success_estimate estimate_success(const attack_session& session,
                                   std::size_t trials,
                                   std::uint64_t trial_base = 0);
 
-struct sweep_point {
-  double x = 0.0;  // the swept quantity (m, W, Hz, ...)
-  success_estimate result;
-};
-
-// Success vs. distance at fixed power. `num_threads` sizes the engine
-// pool (0 = all hardware threads).
-std::vector<sweep_point> sweep_distance(const attack_session& session,
-                                        const std::vector<double>& distances_m,
-                                        std::size_t trials_per_point,
-                                        std::size_t num_threads = 0);
-
-// Success vs. total power at fixed distance.
-std::vector<sweep_point> sweep_power(const attack_session& session,
-                                     const std::vector<double>& powers_w,
-                                     std::size_t trials_per_point,
-                                     std::size_t num_threads = 0);
-
 // Maximum distance (m) with success rate >= `min_rate`, scanned outward
 // in `step_m` increments from `start_m` up to `max_m`. Returns 0 when
 // even the first point fails — matches how the papers report "range".
+// The whole ladder runs as one engine::run_over grid (`num_threads`
+// sizes its pool; 0 = all hardware threads).
 double max_attack_range_m(const attack_session& session, double min_rate,
                           std::size_t trials_per_point, double start_m,
                           double max_m, double step_m,

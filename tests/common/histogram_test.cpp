@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -213,6 +214,32 @@ TEST(histogram, restore_rejects_mismatched_configs) {
     }
   }
   EXPECT_THROW(mine.restore(json::value{o}), std::invalid_argument);
+}
+
+TEST(histogram, restore_rejects_non_integer_bin_pairs) {
+  // A bin index or count that is not a non-negative integer would be an
+  // undefined double -> integer cast; the decoder throws instead.
+  const log_histogram h;
+  const auto with_bins = [&h](double index, double count) {
+    json::object o = h.snapshot().members();
+    for (auto& [key, val] : o) {
+      if (key == "bins") {
+        val = json::value{json::array{json::value{index}, json::value{count}}};
+      }
+    }
+    return json::value{std::move(o)};
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           0.5, 1e300}) {
+    log_histogram back;
+    EXPECT_THROW(back.restore(with_bins(bad, 1.0)), std::invalid_argument)
+        << "bin index " << bad;
+    EXPECT_THROW(back.restore(with_bins(3.0, bad)), std::invalid_argument)
+        << "bin count " << bad;
+  }
+  log_histogram back;
+  EXPECT_NO_THROW(back.restore(with_bins(3.0, 2.0)));
+  EXPECT_EQ(json::write(*back.snapshot().find("bins")), "[3,2]");
 }
 
 }  // namespace

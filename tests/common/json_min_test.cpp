@@ -27,7 +27,7 @@ TEST(json_min, parses_scalars) {
   EXPECT_FALSE(parse("false").boolean());
   EXPECT_DOUBLE_EQ(parse("-12.5e2").number(), -1250.0);
   EXPECT_EQ(parse("\"hi\"").string(), "hi");
-  // Full-precision doubles survive (what format_double_exact emits).
+  // Full-precision doubles survive (what write() emits, "%.17g").
   EXPECT_DOUBLE_EQ(parse("0.30000000000000004").number(),
                    0.30000000000000004);
 }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,41 @@ TEST(trace_codec, rejects_malformed_rows) {
                std::invalid_argument);
   EXPECT_THROW((void)decode_spans(json::parse("[[9,0,0,0,0,\"\"]]")),
                std::invalid_argument);
+}
+
+TEST(trace_codec, rejects_non_integer_stage_index_and_capacity) {
+  // Stage and index are integers on the wire; a fractional, negative,
+  // NaN or huge value must not cast into a valid-looking span.
+  const auto row = [](double stage, double index) {
+    return json::value{json::array{json::value{json::array{
+        json::value{stage}, json::value{index}, json::value{0.0},
+        json::value{0.0}, json::value{0.0}, json::value{std::string{}}}}}};
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           0.5, 1e300, -0.5, 5.9}) {
+    EXPECT_THROW((void)decode_spans(row(bad, 0.0)), std::invalid_argument)
+        << "stage " << bad;
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           0.5, 1e300, -7.0}) {
+    EXPECT_THROW((void)decode_spans(row(1.0, bad)), std::invalid_argument)
+        << "index " << bad;
+  }
+  EXPECT_EQ(decode_spans(row(5.0, 7.0)).at(0).index, 7u);
+
+  trace_ring ring{4};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           4.5, 1e300}) {
+    json::object o = ring.snapshot().members();
+    for (auto& [key, val] : o) {
+      if (key == "cap") {
+        val = json::value{bad};
+      }
+    }
+    EXPECT_THROW(ring.restore(json::value{std::move(o)}),
+                 std::invalid_argument)
+        << "cap " << bad;
+  }
 }
 
 TEST(trace_codec, strip_wall_clock_zeroes_only_wall) {

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json_field.h"
 #include "sim/sweep.h"
 
 namespace ivc::sim {
@@ -118,23 +120,25 @@ TEST(experiment_engine, scenario_path_is_deterministic_too) {
 }
 
 TEST(experiment_engine, matches_legacy_sweep_seeding) {
-  // The sweep wrappers promise bit-identical results to the legacy
-  // serial loops: same session, trial indices accumulating across
-  // points.
+  // run_over promises the legacy serial sweeps' seeding: same session,
+  // trial indices accumulating across points, so row p equals a direct
+  // estimate at trial base p·T.
   const attack_session session{quick_mono(1.0), 108};
   const std::vector<double> distances{1.5, 10.0};
   constexpr std::size_t trials = 3;
-  const std::vector<sweep_point> points =
-      sweep_distance(session, distances, trials);
-  ASSERT_EQ(points.size(), 2u);
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  run_config cfg;
+  cfg.trials_per_point = trials;
+  const result_table table = engine{cfg}.run_over(
+      session, grid::cartesian({distance_axis(distances)}));
+  ASSERT_EQ(table.size(), 2u);
+  for (std::size_t i = 0; i < table.size(); ++i) {
     attack_session probe = session;
     probe.set_distance(distances[i]);
     const success_estimate direct =
         estimate_success(probe, trials, i * trials);
-    EXPECT_EQ(points[i].result.successes, direct.successes);
-    EXPECT_DOUBLE_EQ(points[i].result.mean_intelligibility,
-                     direct.mean_intelligibility);
+    const success_estimate row = table.estimate(i);
+    EXPECT_EQ(row.successes, direct.successes);
+    EXPECT_DOUBLE_EQ(row.mean_intelligibility, direct.mean_intelligibility);
   }
 }
 
@@ -220,50 +224,68 @@ result_table awkward_table() {
   return t;
 }
 
-TEST(experiment_results, csv_round_trips_at_full_precision) {
-  const result_table t = sample_table();
-  std::istringstream in{t.to_csv()};
+TEST(experiment_results, csv_writes_full_precision) {
+  std::istringstream in{sample_table().to_csv()};
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   // Header carries the coord columns the table promises.
   EXPECT_EQ(line, "distance_m,distance_m:coord,rate,ci_low");
-  EXPECT_EQ(result_table::from_csv(t.to_csv()), t);  // bit-identical
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "1.5,1.5,0.625,0.30000000000000004");
 }
 
 TEST(experiment_results, csv_quotes_awkward_labels_per_rfc4180) {
-  const result_table t = awkward_table();
-  const std::string csv = t.to_csv();
+  const std::string csv = awkward_table().to_csv();
   // Comma-bearing label is quoted, embedded quotes double.
   EXPECT_NE(csv.find("\"Echo, 2nd gen\""), std::string::npos);
   EXPECT_NE(csv.find("\"say \"\"hello\"\"\""), std::string::npos);
-  EXPECT_EQ(result_table::from_csv(csv), t);
+  // A line break inside a label stays inside its quoted field.
+  EXPECT_NE(csv.find("\"phone\nline2\",1,\",\",2,0.25\n"),
+            std::string::npos);
 }
 
 TEST(experiment_results, json_round_trips_awkward_labels) {
   const result_table t = awkward_table();
-  EXPECT_EQ(result_table::from_json(t.to_json()), t);
-}
-
-TEST(experiment_results, from_csv_rejects_malformed_input) {
-  EXPECT_THROW(result_table::from_csv(""), std::invalid_argument);
-  EXPECT_THROW(result_table::from_csv("a,a:coord,m\n\"unterminated"),
-               std::invalid_argument);
-  // Row width mismatch against the header.
-  EXPECT_THROW(result_table::from_csv("a,a:coord,m\nx,1.0\n"),
-               std::invalid_argument);
-  // Non-numeric coord cell.
-  EXPECT_THROW(result_table::from_csv("a,a:coord,m\nx,oops,1.0\n"),
-               std::invalid_argument);
+  const json::value doc = json::parse(t.to_json());
+  const json::array& rows = json::arr(doc, "rows");
+  ASSERT_EQ(rows.size(), t.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const json::array& labels = json::arr(rows[i], "labels");
+    ASSERT_EQ(labels.size(), 2u);
+    EXPECT_EQ(labels[0].string(), t.at(i).labels[0]);
+    EXPECT_EQ(labels[1].string(), t.at(i).labels[1]);
+  }
 }
 
 TEST(experiment_results, json_contains_names_and_exact_values) {
-  const std::string json = sample_table().to_json();
-  EXPECT_NE(json.find("\"axis_names\": [\"distance_m\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"metric_names\": [\"rate\", \"ci_low\"]"),
-            std::string::npos);
-  EXPECT_NE(json.find("0.625"), std::string::npos);
-  // Full-precision value survives.
-  EXPECT_NE(json.find("0.30000000000000004"), std::string::npos);
+  const result_table t = sample_table();
+  const json::value doc = json::parse(t.to_json());
+  EXPECT_EQ(json::arr(doc, "axis_names")[0].string(), "distance_m");
+  const json::array& metric_names = json::arr(doc, "metric_names");
+  ASSERT_EQ(metric_names.size(), 2u);
+  EXPECT_EQ(metric_names[1].string(), "ci_low");
+  const json::array& rows = json::arr(doc, "rows");
+  ASSERT_EQ(rows.size(), t.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    // Bit-exact, not approximately equal.
+    EXPECT_EQ(json::to_samples(json::field(rows[i], "coords")),
+              t.at(i).coords);
+    EXPECT_EQ(json::to_samples(json::field(rows[i], "metrics")),
+              t.at(i).metrics);
+  }
+}
+
+TEST(experiment_results, json_writes_non_finite_metrics_as_null) {
+  result_table t{{"distance_m"}, {"rate", "level_db"}};
+  t.add_row({{"1"}, {1.0},
+             {std::numeric_limits<double>::quiet_NaN(),
+              -std::numeric_limits<double>::infinity()}});
+  const json::value doc = json::parse(t.to_json());
+  const json::array& metrics =
+      json::arr(json::arr(doc, "rows")[0], "metrics");
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_TRUE(metrics[0].is_null());
+  EXPECT_TRUE(metrics[1].is_null());
 }
 
 TEST(experiment_results, file_writers_produce_readable_files) {
@@ -273,22 +295,17 @@ TEST(experiment_results, file_writers_produce_readable_files) {
   t.write_csv_file(csv_path);
   t.write_json_file(json_path);
   std::ifstream csv{csv_path};
-  std::ifstream json{json_path};
+  std::ifstream json_in{json_path};
   ASSERT_TRUE(csv.good());
-  ASSERT_TRUE(json.good());
+  ASSERT_TRUE(json_in.good());
   std::string header;
   std::getline(csv, header);
   EXPECT_EQ(header, "distance_m,distance_m:coord,rate,ci_low");
+  std::string text;
+  std::getline(json_in, text);
+  EXPECT_EQ(text, t.to_json());
   std::remove(csv_path.c_str());
   std::remove(json_path.c_str());
-}
-
-TEST(experiment_results, column_names_reject_reserved_coord_suffix) {
-  // A metric named like an axis's coordinate column would parse back
-  // with the wrong shape.
-  EXPECT_THROW((result_table{{"d"}, {"x", "x:coord"}}),
-               std::invalid_argument);
-  EXPECT_THROW((result_table{{"d:coord"}, {"rate"}}), std::invalid_argument);
 }
 
 TEST(experiment_results, metric_lookup_rejects_unknown_names) {

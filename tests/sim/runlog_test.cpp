@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+
+#include "bench_util.h"
+#include "common/json_field.h"
 
 namespace ivc::sim {
 namespace {
@@ -97,6 +104,91 @@ TEST_F(runlog_test, crash_mid_append_leaves_intact_prefix_readable) {
     out.write(full.data(), static_cast<std::streamsize>(full.size()));
   }
   EXPECT_EQ(read_run_log(path).size(), 3u);
+}
+
+TEST_F(runlog_test, non_finite_metrics_keep_their_record) {
+  run_record r = sample_record(0.1);
+  r.metrics = {{"fpr", 0.1},
+               {"combined_eer", std::numeric_limits<double>::quiet_NaN()},
+               {"tiny", 4.9406564584124654e-324},
+               {"gain_db", std::numeric_limits<double>::infinity()}};
+  append_run_record(path, r);
+  append_run_record(path, sample_record(0.2));
+
+  const std::vector<run_record> records = read_run_log(path);
+  ASSERT_EQ(records.size(), 2u);
+  const auto& metrics = records[0].metrics;
+  ASSERT_EQ(metrics.size(), 4u);
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    EXPECT_EQ(metrics[i].first, r.metrics[i].first);
+  }
+  // Finite values bit-exact, non-finite ones back as NaN.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(metrics[0].second),
+            std::bit_cast<std::uint64_t>(0.1));
+  EXPECT_TRUE(std::isnan(metrics[1].second));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(metrics[2].second),
+            std::bit_cast<std::uint64_t>(r.metrics[2].second));
+  EXPECT_TRUE(std::isnan(metrics[3].second));
+}
+
+TEST_F(runlog_test, bad_trials_line_is_skipped_like_a_foreign_line) {
+  append_run_record(path, sample_record(0.1));
+  {
+    std::ofstream out{path, std::ios::app};
+    out << R"({"figure":"F-R9","seed":"91","trials":-3,"metrics":{}})"
+        << "\n"
+        << R"({"figure":"F-R9","seed":"91","trials":1e300,"metrics":{}})"
+        << "\n"
+        << R"({"figure":"F-R9","seed":"91","trials":0.5,"metrics":{}})"
+        << "\n";
+  }
+  append_run_record(path, sample_record(0.3));
+  const std::vector<run_record> records = read_run_log(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_DOUBLE_EQ(records[0].metrics[0].second, 0.1);
+  EXPECT_DOUBLE_EQ(records[1].metrics[0].second, 0.3);
+}
+
+TEST_F(runlog_test, jsonl_reader_skips_torn_array_and_blank_lines) {
+  {
+    std::ofstream out{path};
+    out << R"({"t_s":1})" << "\n"
+        << "\n"
+        << R"([1,2,3])" << "\n"
+        << R"({"t_s":2})" << "\n"
+        << R"({"t_s":3,"resident":)";  // torn last line, no newline
+  }
+  const std::vector<json::value> objects = read_jsonl_objects(path);
+  ASSERT_EQ(objects.size(), 2u);
+  EXPECT_DOUBLE_EQ(json::num(objects[0], "t_s"), 1.0);
+  EXPECT_DOUBLE_EQ(json::num(objects[1], "t_s"), 2.0);
+  EXPECT_TRUE(read_jsonl_objects("no_such_series.jsonl").empty());
+}
+
+TEST_F(runlog_test, json_report_with_a_nan_metric_parses) {
+  const std::string report_path = "runlog_test_report.json";
+  bench::json_report report{"F-R8", "defense ROC"};
+  report.set_seed(0x9e37'79b9'7f4a'7c15ULL);
+  report.set_trials(2);
+  result_table t{{"distance_m"}, {"rate"}};
+  t.add_row({{"1"}, {1.0}, {std::numeric_limits<double>::quiet_NaN()}});
+  report.add_table("curve", t);
+  report.add_metric("combined_eer", std::numeric_limits<double>::quiet_NaN());
+  report.add_metric("auc", 0.75);
+  ASSERT_TRUE(report.write(report_path));
+
+  std::ifstream in{report_path};
+  const std::string text{std::istreambuf_iterator<char>{in},
+                         std::istreambuf_iterator<char>{}};
+  std::remove(report_path.c_str());
+  const json::value doc = json::parse(text);
+  EXPECT_EQ(json::str(doc, "seed"), "11400714819323198485");
+  EXPECT_EQ(json::u64(doc, "trials"), 2u);
+  const json::value& metrics = json::field(doc, "metrics");
+  EXPECT_TRUE(json::field(metrics, "combined_eer").is_null());
+  EXPECT_DOUBLE_EQ(json::num(metrics, "auc"), 0.75);
+  const json::value& curve = json::field(json::field(doc, "tables"), "curve");
+  EXPECT_TRUE(json::arr(json::arr(curve, "rows")[0], "metrics")[0].is_null());
 }
 
 TEST_F(runlog_test, missing_file_reads_empty) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "audio/metrics.h"
+#include "sim/experiment.h"
 #include "sim/sweep.h"
 
 namespace ivc::sim {
@@ -137,25 +138,28 @@ TEST(sweep, estimate_success_counts_trials) {
   EXPECT_GE(est.ci_high, est.rate);
 }
 
+// Curves over a prepared session run as engine::run_over grids.
+result_table session_curve(const attack_session& session, axis ax) {
+  run_config cfg;
+  cfg.trials_per_point = 3;
+  return engine{cfg}.run_over(session, grid::cartesian({std::move(ax)}));
+}
+
 TEST(sweep, success_declines_with_distance) {
   attack_session session{quick_mono(1.0), 109};
-  const std::vector<double> distances{1.5, 10.0};
-  const auto points = sweep_distance(session, distances, 3);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_GT(points[0].result.rate, points[1].result.rate);
-  EXPECT_GT(points[0].result.mean_intelligibility,
-            points[1].result.mean_intelligibility);
+  const result_table t = session_curve(session, distance_axis({1.5, 10.0}));
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_GT(t.metric(0, "rate"), t.metric(1, "rate"));
+  EXPECT_GT(t.metric(0, "mean_score"), t.metric(1, "mean_score"));
 }
 
 TEST(sweep, success_improves_with_power) {
   attack_scenario sc = quick_mono(3.5);
   attack_session session{sc, 111};
-  const std::vector<double> powers{2.0, 30.0};
-  const auto points = sweep_power(session, powers, 3);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_LE(points[0].result.rate, points[1].result.rate);
-  EXPECT_LT(points[0].result.mean_intelligibility,
-            points[1].result.mean_intelligibility);
+  const result_table t = session_curve(session, power_axis({2.0, 30.0}));
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_LE(t.metric(0, "rate"), t.metric(1, "rate"));
+  EXPECT_LT(t.metric(0, "mean_score"), t.metric(1, "mean_score"));
 }
 
 TEST(sweep, max_range_finds_boundary) {
