@@ -4,6 +4,8 @@
 // reference values, and the simulated received SPL against the analytic
 // link budget. This is the figure that certifies the simulated channel
 // before any attack result is read off it.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "acoustics/air.h"
@@ -13,8 +15,9 @@
 #include "common/units.h"
 #include "dsp/goertzel.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ivc;
+  const bench::options opts = bench::parse_options(argc, argv);
   bench::banner("F-R12", "channel validation: absorption & link budget");
 
   acoustics::air_model air;
@@ -26,9 +29,14 @@ int main() {
               "ISO 9613-1 ref");
   const double ref_freq[] = {500.0, 1'000.0, 2'000.0, 4'000.0, 8'000.0};
   const double ref_db_km[] = {2.8, 4.7, 9.0, 23.0, 77.0};
+  double max_absorption_rel_error = 0.0;
   for (std::size_t i = 0; i < 5; ++i) {
-    std::printf("%12.0f %12.1f %14.1f\n", ref_freq[i],
-                air.absorption_db_per_m(ref_freq[i]) * 1'000.0, ref_db_km[i]);
+    const double model_db_km = air.absorption_db_per_m(ref_freq[i]) * 1'000.0;
+    std::printf("%12.0f %12.1f %14.1f\n", ref_freq[i], model_db_km,
+                ref_db_km[i]);
+    max_absorption_rel_error =
+        std::max(max_absorption_rel_error,
+                 std::abs(model_db_km - ref_db_km[i]) / ref_db_km[i]);
   }
   bench::rule();
 
@@ -45,6 +53,7 @@ int main() {
   std::printf("%10s %10s %14s %14s\n", "freq", "dist (m)", "simulated",
               "analytic");
   const double fs = 192'000.0;
+  double max_link_budget_error_db = 0.0;
   for (const double freq : {1'000.0, 30'000.0, 40'000.0}) {
     for (const double dist : {1.0, 3.0, 7.6}) {
       const double src_spl = 110.0;
@@ -58,9 +67,13 @@ int main() {
       const std::span<const double> mid{rx.data() + 9'600, 19'200};
       const double rms =
           ivc::dsp::goertzel_amplitude(mid, fs, freq) / std::numbers::sqrt2;
+      const double simulated_db = pa_to_spl_db(rms);
+      const double analytic_db =
+          acoustics::received_spl_db(src_spl, freq, dist, attack_air);
       std::printf("%9.0fk %10.1f %13.1f %14.1f\n", freq / 1'000.0, dist,
-                  pa_to_spl_db(rms),
-                  acoustics::received_spl_db(src_spl, freq, dist, attack_air));
+                  simulated_db, analytic_db);
+      max_link_budget_error_db = std::max(
+          max_link_budget_error_db, std::abs(simulated_db - analytic_db));
     }
   }
 
@@ -68,5 +81,10 @@ int main() {
   bench::note("expected: model within ~20%% of ISO reference values in the");
   bench::note("voice band; simulated field matches the analytic budget to");
   bench::note("<0.5 dB; ~1 dB/m extra loss at 40 kHz is what limits range.");
+
+  bench::json_report report{"F-R12", "channel validation"};
+  report.add_metric("max_link_budget_error_db", max_link_budget_error_db);
+  report.add_metric("max_absorption_rel_error", max_absorption_rel_error);
+  report.write(opts);
   return 0;
 }

@@ -16,8 +16,9 @@
 #include "mic/device_profiles.h"
 #include "mic/frontend.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ivc;
+  const bench::options opts = bench::parse_options(argc, argv);
   bench::banner("F-R1", "microphone non-linearity: two-tone intermodulation");
 
   const double fs = 192'000.0;
@@ -32,7 +33,8 @@ int main() {
   mic::mic_params params = mic::phone_profile().mic;
   params.agc = std::nullopt;  // raw capture for measurement
   const mic::microphone microphone{params};
-  ivc::rng rng{1};
+  const std::uint64_t seed = 1;
+  ivc::rng rng{seed};
   const audio::buffer capture = microphone.record(pressure, rng);
 
   bench::note("input: %.0f + %.0f Hz tones at %.0f dB SPL each (inaudible)",
@@ -67,9 +69,16 @@ int main() {
   const double predicted_pa = params.nonlinearity.a2 * a_norm * a_norm;
   const double fs_pa = spl_db_to_pa(params.full_scale_spl_db) *
                        std::numbers::sqrt2;
+  const double predicted_dbfs = amplitude_to_db(predicted_pa / fs_pa);
+  const double measured_dbfs = level(f2 - f1);
   bench::note("theory: a2*A^2 = %.4g Pa -> %.1f dBFS  (measured %.1f dBFS)",
-              predicted_pa, amplitude_to_db(predicted_pa / fs_pa),
-              level(f2 - f1));
+              predicted_pa, predicted_dbfs, measured_dbfs);
   bench::note("paper shape: inaudible tones in, voice-band tone out. HOLDS");
+
+  bench::json_report report{"F-R1", "two-tone intermodulation"};
+  report.set_seed(seed);
+  report.add_metric("imd_measured_dbfs", measured_dbfs);
+  report.add_metric("imd_predicted_dbfs", predicted_dbfs);
+  report.write(opts);
   return 0;
 }

@@ -12,13 +12,18 @@
 #include "defense/features.h"
 #include "sim/corpus.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ivc;
+  const bench::options opts = bench::parse_options(argc, argv);
   bench::banner("F-R7", "non-linearity trace features: genuine vs injected");
+  bench::json_report report{"F-R7", "trace feature separation"};
+  const std::uint64_t seed = 7;
+  report.set_seed(seed);
 
   sim::corpus_config cfg;
   cfg.rig = attack::long_range_rig();
-  const sim::defense_corpus corpus = sim::build_defense_corpus(cfg, 7);
+  cfg.num_threads = opts.threads;
+  const sim::defense_corpus corpus = sim::build_defense_corpus(cfg, seed);
 
   // Merge train+test: this figure is about distributions, not learning.
   defense::labelled_features all = corpus.train;
@@ -51,14 +56,16 @@ int main() {
     const double pooled =
         std::sqrt(0.5 * (sq[0] * sq[0] + sq[1] * sq[1])) + 1e-12;
     const double d_prime = (mean[1] - mean[0]) / pooled;
-    std::printf("%-26s %10.3f %10.3f %10.3f %10.3f %8.2f\n",
-                defense::trace_features::names()[k], mean[0], sq[0], mean[1],
-                sq[1], d_prime);
+    const std::string name = defense::trace_features::names()[k];
+    std::printf("%-26s %10.3f %10.3f %10.3f %10.3f %8.2f\n", name.c_str(),
+                mean[0], sq[0], mean[1], sq[1], d_prime);
+    report.add_metric(name + "_d_prime", d_prime);
   }
 
   bench::rule();
   bench::note("paper shape: the sub-voice trace features (correlation, band");
   bench::note("ratio) separate the classes by multiple pooled standard");
   bench::note("deviations; skew and high-band deficit add margin.");
+  report.write(opts);
   return 0;
 }

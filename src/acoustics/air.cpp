@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/units.h"
 
 namespace ivc::acoustics {
 namespace {
@@ -69,11 +68,6 @@ double absorption_model::gain(double freq_hz, double dist_m) const {
 double air_model::absorption_db_per_m(double freq_hz) const {
   expects(freq_hz >= 0.0, "absorption: frequency must be >= 0");
   return absorption().db_per_m(freq_hz);
-}
-
-double air_model::absorption_gain(double freq_hz, double dist_m) const {
-  expects(dist_m >= 0.0, "absorption_gain: distance must be >= 0");
-  return ivc::db_to_amplitude(-absorption_db_per_m(freq_hz) * dist_m);
 }
 
 }  // namespace ivc::acoustics

@@ -22,10 +22,6 @@ struct air_model {
   // Atmospheric absorption coefficient at `freq_hz`, in dB per meter.
   double absorption_db_per_m(double freq_hz) const;
 
-  // Linear amplitude factor after `dist_m` meters at `freq_hz`
-  // (absorption only, no spreading).
-  double absorption_gain(double freq_hz, double dist_m) const;
-
   // Precomputes every frequency-independent term of the ISO 9613-1
   // chain. Per-bin loops over large spectra (array render, propagation,
   // room responses) hoist one of these instead of re-deriving the
@@ -45,9 +41,9 @@ struct absorption_model {
   // Same value as air_model::absorption_db_per_m(freq_hz) — identical
   // arithmetic, just with the f-independent factors precomputed.
   double db_per_m(double freq_hz) const;
-  // Linear amplitude factor after dist_m meters. Evaluated as
-  // exp(ln(10)/20 · dB) rather than pow(10, dB/20), so it can differ
-  // from air_model::absorption_gain in the last ulps.
+  // Linear amplitude factor after dist_m meters (absorption only, no
+  // spreading), evaluated as exp(ln(10)/20 · dB) rather than
+  // pow(10, dB/20).
   double gain(double freq_hz, double dist_m) const;
 };
 

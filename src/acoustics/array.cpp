@@ -39,12 +39,6 @@ void speaker_array::scale_power(double factor) {
   }
 }
 
-void speaker_array::translate(const vec3& offset) {
-  for (array_element& e : elements_) {
-    e.position = e.position + offset;
-  }
-}
-
 // Fused rendering: the per-element non-linearity is applied in the time
 // domain (it is memoryless), after which the element's radiation response,
 // sensitivity scaling, spreading, absorption, and delay are all linear and

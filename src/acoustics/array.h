@@ -36,9 +36,6 @@ class speaker_array {
   // element would exceed its driver rating.
   void scale_power(double factor);
 
-  // Rigidly translates every element by `offset`.
-  void translate(const vec3& offset);
-
   // Coherent pressure field at `listener` (Pa): each element is emitted
   // through its speaker model, propagated over its own distance (with
   // per-element delay, spreading, absorption) and summed.

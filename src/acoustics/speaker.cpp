@@ -40,19 +40,6 @@ double bandpass_magnitude(double f, double f_lo, double f_hi,
 
 }  // namespace
 
-speaker_params wideband_speaker() {
-  speaker_params p;
-  p.sensitivity_db_spl = 104.0;
-  p.rated_power_w = 40.0;
-  p.band_low_hz = 60.0;
-  p.band_high_hz = 20'000.0;
-  p.rolloff_order = 2;
-  p.nonlin_a2 = 0.02;
-  p.nonlin_a3 = 0.004;
-  p.max_power_w = 80.0;
-  return p;
-}
-
 speaker_params ultrasonic_tweeter() {
   speaker_params p;
   // High-efficiency piezo horn / 40 kHz transducer stack: ~124 dB SPL at

@@ -42,10 +42,6 @@ struct speaker_params {
   double max_power_w = 60.0;
 };
 
-// A wide-band "ordinary" speaker, used to play genuine voice in
-// experiments and as the baseline audible player.
-speaker_params wideband_speaker();
-
 // A narrow-band ultrasonic piezo tweeter, the attack rig's element.
 speaker_params ultrasonic_tweeter();
 

@@ -13,13 +13,6 @@ double mel_to_hz(double mel) {
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
 }
 
-std::vector<double> mel_filterbank::apply(
-    const std::vector<double>& power_spectrum) const {
-  std::vector<double> out;
-  apply_to(power_spectrum, out);
-  return out;
-}
-
 void mel_filterbank::apply_to(const std::vector<double>& power_spectrum,
                               std::vector<double>& out) const {
   expects(!weights.empty(), "mel_filterbank::apply: empty bank");

@@ -18,16 +18,14 @@ struct mel_filterbank {
   std::vector<double> center_hz;
   // Half-open nonzero column range per filter. Triangles are sparse
   // (each covers a small slice of the bins), and skipping exact-zero
-  // weights is arithmetic-identical, so apply() only walks the support.
+  // weights is arithmetic-identical, so apply_to() only walks the support.
   // Empty (e.g. a hand-assembled bank) means "walk every bin".
   std::vector<std::pair<std::size_t, std::size_t>> support;
 
   std::size_t num_filters() const { return weights.size(); }
 
-  // Applies the bank to a power spectrum (size must equal num_bins).
-  std::vector<double> apply(const std::vector<double>& power_spectrum) const;
-  // Allocation-free variant for per-frame hot loops: writes the band
-  // energies into `out` (resized to num_filters()).
+  // Applies the bank to a power spectrum (size must equal num_bins),
+  // writing the band energies into `out` (resized to num_filters()).
   void apply_to(const std::vector<double>& power_spectrum,
                 std::vector<double>& out) const;
 };

@@ -38,30 +38,6 @@ audio::buffer am_modulate(const audio::buffer& baseband,
   return audio::buffer{std::move(out), baseband.sample_rate_hz};
 }
 
-audio::buffer dsb_sc_modulate(const audio::buffer& baseband,
-                              const modulator_config& config) {
-  check_modulator(baseband, config);
-  const double w = two_pi * config.carrier_hz / baseband.sample_rate_hz;
-  std::vector<double> out(baseband.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = config.depth_level * baseband.samples[i] *
-             std::cos(w * static_cast<double>(i));
-  }
-  return audio::buffer{std::move(out), baseband.sample_rate_hz};
-}
-
-audio::buffer carrier_tone(const audio::buffer& like,
-                           const modulator_config& config) {
-  check_modulator(like, config);
-  const double w = two_pi * config.carrier_hz / like.sample_rate_hz;
-  std::vector<double> out(like.size());
-  const double level = config.carrier_level > 0.0 ? config.carrier_level : 1.0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = level * std::cos(w * static_cast<double>(i));
-  }
-  return audio::buffer{std::move(out), like.sample_rate_hz};
-}
-
 audio::buffer square_law_demodulate(const audio::buffer& drive,
                                     double voice_bandwidth_hz,
                                     double capture_rate_hz) {

@@ -24,17 +24,6 @@ struct modulator_config {
 audio::buffer am_modulate(const audio::buffer& baseband,
                           const modulator_config& config = {});
 
-// Double-sideband suppressed-carrier: only m(t)·cos(2πf_c t). The split
-// rig transmits the carrier from a separate speaker, so its sideband
-// speakers use suppressed-carrier chunks.
-audio::buffer dsb_sc_modulate(const audio::buffer& baseband,
-                              const modulator_config& config = {});
-
-// A bare carrier tone at the modulator's level, same length/rate as
-// `like` — the dedicated carrier-speaker drive of the split rig.
-audio::buffer carrier_tone(const audio::buffer& like,
-                           const modulator_config& config = {});
-
 // Software demodulation reference: what an ideal square-law receiver
 // recovers from `drive` (square, low-pass at `voice_bandwidth_hz`,
 // decimate to `capture_rate_hz`, DC-removed). Useful for analyzing attack

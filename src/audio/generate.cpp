@@ -66,19 +66,6 @@ buffer multi_tone(std::span<const double> freqs_hz, double duration_s,
   return buffer{std::move(out), sample_rate_hz};
 }
 
-buffer chirp(double f0_hz, double f1_hz, double duration_s,
-             double sample_rate_hz, double amplitude) {
-  expects(f0_hz >= 0.0 && f1_hz >= 0.0, "chirp: frequencies must be >= 0");
-  const std::size_t n = sample_count(duration_s, sample_rate_hz);
-  std::vector<double> out(n);
-  const double k = (f1_hz - f0_hz) / duration_s;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i) / sample_rate_hz;
-    out[i] = amplitude * std::sin(two_pi * (f0_hz * t + 0.5 * k * t * t));
-  }
-  return buffer{std::move(out), sample_rate_hz};
-}
-
 buffer white_noise(double duration_s, double sample_rate_hz, double rms,
                    ivc::rng& rng) {
   expects(rms >= 0.0, "white_noise: rms must be >= 0");

@@ -18,10 +18,6 @@ buffer tone(double freq_hz, double duration_s, double sample_rate_hz,
 buffer multi_tone(std::span<const double> freqs_hz, double duration_s,
                   double sample_rate_hz, double amplitude_each = 1.0);
 
-// Linear chirp from f0 to f1 over the duration.
-buffer chirp(double f0_hz, double f1_hz, double duration_s,
-             double sample_rate_hz, double amplitude = 1.0);
-
 // Gaussian white noise with the given RMS.
 buffer white_noise(double duration_s, double sample_rate_hz, double rms,
                    ivc::rng& rng);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/units.h"
 
 namespace ivc::audio {
 
@@ -24,54 +23,6 @@ double peak(std::span<const double> x) {
     p = std::max(p, std::abs(v));
   }
   return p;
-}
-
-double rms_dbfs(const buffer& b) {
-  validate(b, "rms_dbfs");
-  return ivc::amplitude_to_db(rms(b.samples));
-}
-
-double peak_dbfs(const buffer& b) {
-  validate(b, "peak_dbfs");
-  return ivc::amplitude_to_db(peak(b.samples));
-}
-
-double crest_factor_db(const buffer& b) {
-  validate(b, "crest_factor_db");
-  const double r = rms(b.samples);
-  if (r <= 1e-300) {
-    return 0.0;
-  }
-  return ivc::amplitude_to_db(peak(b.samples) / r);
-}
-
-double snr_db(std::span<const double> clean, std::span<const double> degraded) {
-  expects(clean.size() == degraded.size() && !clean.empty(),
-          "snr_db: inputs must match and be non-empty");
-  // Project degraded onto clean to remove the unknown gain, then measure
-  // residual power.
-  double cc = 0.0;
-  double cd = 0.0;
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    cc += clean[i] * clean[i];
-    cd += clean[i] * degraded[i];
-  }
-  if (cc <= 1e-300) {
-    return 0.0;
-  }
-  const double g = cd / cc;
-  double signal_power = 0.0;
-  double noise_power = 0.0;
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    const double s = g * clean[i];
-    const double n = degraded[i] - s;
-    signal_power += s * s;
-    noise_power += n * n;
-  }
-  if (noise_power <= 1e-300) {
-    return 200.0;  // effectively noiseless
-  }
-  return ivc::power_to_db(signal_power / noise_power);
 }
 
 double amplitude_skewness(std::span<const double> x) {

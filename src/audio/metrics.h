@@ -1,4 +1,4 @@
-// Signal measurements: RMS, peaks, SNR.
+// Signal measurements: RMS, peak, skewness.
 #pragma once
 
 #include <span>
@@ -9,19 +9,6 @@ namespace ivc::audio {
 
 double rms(std::span<const double> x);
 double peak(std::span<const double> x);
-
-// RMS level relative to digital full scale (amplitude 1.0), in dB.
-double rms_dbfs(const buffer& b);
-
-// Peak level in dBFS.
-double peak_dbfs(const buffer& b);
-
-// Crest factor (peak / RMS), in dB.
-double crest_factor_db(const buffer& b);
-
-// SNR in dB given the clean reference and the degraded signal
-// (noise = degraded − clean after optimal scaling of clean).
-double snr_db(std::span<const double> clean, std::span<const double> degraded);
 
 // Third standardized moment of the amplitude distribution. The defense
 // uses this: a +v² component skews an otherwise symmetric voice waveform.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/units.h"
-
 namespace ivc::audio {
 
 buffer gain(const buffer& b, double linear_gain) {
@@ -14,10 +12,6 @@ buffer gain(const buffer& b, double linear_gain) {
     s *= linear_gain;
   }
   return out;
-}
-
-buffer gain_db(const buffer& b, double db) {
-  return gain(b, ivc::db_to_amplitude(db));
 }
 
 buffer normalize_peak(const buffer& b, double target_peak) {
@@ -136,16 +130,6 @@ buffer pad(const buffer& b, double before_s, double after_s) {
   std::copy(b.samples.begin(), b.samples.end(),
             out.begin() + static_cast<std::ptrdiff_t>(n_before));
   return buffer{std::move(out), b.sample_rate_hz};
-}
-
-buffer hard_clip(const buffer& b, double limit) {
-  validate(b, "hard_clip");
-  expects(limit > 0.0, "hard_clip: limit must be > 0");
-  buffer out = b;
-  for (double& s : out.samples) {
-    s = std::clamp(s, -limit, limit);
-  }
-  return out;
 }
 
 }  // namespace ivc::audio

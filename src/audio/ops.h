@@ -10,9 +10,6 @@ namespace ivc::audio {
 // Scales by a linear gain.
 buffer gain(const buffer& b, double linear_gain);
 
-// Scales by a decibel gain.
-buffer gain_db(const buffer& b, double db);
-
 // Scales so the absolute peak equals `target_peak` (no-op on silence).
 buffer normalize_peak(const buffer& b, double target_peak = 1.0);
 
@@ -39,8 +36,5 @@ buffer fade(const buffer& b, double fade_in_s, double fade_out_s);
 
 // Pads with silence before/after.
 buffer pad(const buffer& b, double before_s, double after_s);
-
-// Hard-clips samples to [-limit, limit].
-buffer hard_clip(const buffer& b, double limit = 1.0);
 
 }  // namespace ivc::audio

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -103,52 +100,6 @@ double logistic_classifier::predict_probability(
     z += weights_[k] * xs[k];
   }
   return sigmoid(z);
-}
-
-std::string logistic_classifier::to_text() const {
-  expects(trained_, "logistic_classifier::to_text: not trained");
-  std::ostringstream out;
-  out << std::setprecision(17);
-  out << "ivc-logistic-v1 " << num_trace_features << "\n";
-  out << bias_ << "\n";
-  for (std::size_t k = 0; k < num_trace_features; ++k) {
-    out << weights_[k] << " " << mean_[k] << " " << stddev_[k] << "\n";
-  }
-  return out.str();
-}
-
-logistic_classifier logistic_classifier::from_text(const std::string& text) {
-  std::istringstream in{text};
-  std::string magic;
-  std::size_t dims = 0;
-  in >> magic >> dims;
-  ensures(in.good() && magic == "ivc-logistic-v1",
-          "logistic_classifier::from_text: bad header");
-  ensures(dims == num_trace_features,
-          "logistic_classifier::from_text: feature-count mismatch");
-  logistic_classifier clf;
-  in >> clf.bias_;
-  for (std::size_t k = 0; k < num_trace_features; ++k) {
-    in >> clf.weights_[k] >> clf.mean_[k] >> clf.stddev_[k];
-  }
-  ensures(!in.fail(), "logistic_classifier::from_text: truncated model");
-  clf.trained_ = true;
-  return clf;
-}
-
-void logistic_classifier::save(const std::string& path) const {
-  std::ofstream out{path};
-  ensures(out.good(), "logistic_classifier::save: cannot open " + path);
-  out << to_text();
-  ensures(out.good(), "logistic_classifier::save: write failed for " + path);
-}
-
-logistic_classifier logistic_classifier::load(const std::string& path) {
-  std::ifstream in{path};
-  ensures(in.good(), "logistic_classifier::load: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return from_text(buffer.str());
 }
 
 double logistic_classifier::accuracy(const labelled_features& data,

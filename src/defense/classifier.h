@@ -3,7 +3,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 #include "defense/features.h"
 
@@ -41,14 +40,6 @@ class logistic_classifier {
   // feature-importance experiment can report it.
   double weight(std::size_t i) const { return weights_.at(i); }
   double bias() const { return bias_; }
-
-  // Text serialization of the trained model (weights, bias,
-  // standardization statistics) — lets a deployment train once offline
-  // and ship the model. Round-trips exactly.
-  std::string to_text() const;
-  static logistic_classifier from_text(const std::string& text);
-  void save(const std::string& path) const;
-  static logistic_classifier load(const std::string& path);
 
  private:
   std::array<double, num_trace_features> standardize(

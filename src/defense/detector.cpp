@@ -4,25 +4,6 @@
 
 namespace ivc::defense {
 
-feature_detector::feature_detector(std::size_t feature_index, double threshold,
-                                   double sign)
-    : index_{feature_index}, threshold_{threshold}, sign_{sign} {
-  expects(feature_index < num_trace_features,
-          "feature_detector: feature index out of range");
-  expects(sign == 1.0 || sign == -1.0, "feature_detector: sign must be ±1");
-}
-
-double feature_detector::score(const trace_features& f) const {
-  return sign_ * f.as_array()[index_];
-}
-
-detection feature_detector::detect(const audio::buffer& capture,
-                                   const feature_config& config) const {
-  const trace_features f = extract_trace_features(capture, config);
-  const double s = score(f);
-  return detection{s >= threshold_, s};
-}
-
 classifier_detector::classifier_detector(logistic_classifier classifier,
                                          double threshold)
     : classifier_{std::move(classifier)}, threshold_{threshold} {

@@ -1,9 +1,6 @@
-// Detector interfaces: single-feature threshold detectors (the ablation
-// baselines) and the combined classifier detector.
+// Detector interface: the trace-feature classifier's probability against
+// a threshold.
 #pragma once
-
-#include <memory>
-#include <string>
 
 #include "defense/classifier.h"
 #include "defense/features.h"
@@ -13,26 +10,6 @@ namespace ivc::defense {
 struct detection {
   bool is_attack = false;
   double score = 0.0;  // higher == more attack-like
-};
-
-// Scores a capture by a single trace feature (by index into
-// trace_features::as_array()). sign=+1 when larger values indicate
-// attack.
-class feature_detector {
- public:
-  feature_detector(std::size_t feature_index, double threshold,
-                   double sign = 1.0);
-
-  detection detect(const audio::buffer& capture,
-                   const feature_config& config = {}) const;
-  double score(const trace_features& f) const;
-
-  std::size_t feature_index() const { return index_; }
-
- private:
-  std::size_t index_;
-  double threshold_;
-  double sign_;
 };
 
 // Combined detector: classifier probability against a threshold.

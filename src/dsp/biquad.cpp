@@ -158,37 +158,6 @@ bool iir_cascade::is_stable() const {
   return true;
 }
 
-iir_filter::iir_filter(iir_cascade cascade)
-    : cascade_{std::move(cascade)},
-      z1_(cascade_.sections().size(), 0.0),
-      z2_(cascade_.sections().size(), 0.0) {}
-
-double iir_filter::process_sample(double x) {
-  const auto& sections = cascade_.sections();
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const biquad& s = sections[i];
-    const double y = s.b0 * x + z1_[i];
-    z1_[i] = s.b1 * x - s.a1 * y + z2_[i];
-    z2_[i] = s.b2 * x - s.a2 * y;
-    x = y;
-  }
-  return x;
-}
-
-void iir_filter::process_block(std::span<const double> in,
-                               std::span<double> out) {
-  expects(in.size() == out.size(),
-          "iir_filter::process_block: size mismatch");
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = process_sample(in[i]);
-  }
-}
-
-void iir_filter::reset() {
-  std::fill(z1_.begin(), z1_.end(), 0.0);
-  std::fill(z2_.begin(), z2_.end(), 0.0);
-}
-
 iir_cascade butterworth_lowpass(std::size_t order, double cutoff_hz,
                                 double sample_rate_hz) {
   return iir_cascade{design(order, cutoff_hz, sample_rate_hz, false)};

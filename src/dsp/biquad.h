@@ -46,25 +46,6 @@ class iir_cascade {
   std::vector<biquad> sections_;
 };
 
-// Streaming filter: keeps per-section state across calls, for block or
-// sample-at-a-time processing (used by the real-time defense detector).
-class iir_filter {
- public:
-  explicit iir_filter(iir_cascade cascade);
-
-  double process_sample(double x);
-  void process_block(std::span<const double> in, std::span<double> out);
-  void reset();
-
-  const iir_cascade& cascade() const { return cascade_; }
-
- private:
-  iir_cascade cascade_;
-  // Transposed direct form II state (two registers per section).
-  std::vector<double> z1_;
-  std::vector<double> z2_;
-};
-
 // Butterworth designs. `order` >= 1, cutoff in (0, fs/2).
 iir_cascade butterworth_lowpass(std::size_t order, double cutoff_hz,
                                 double sample_rate_hz);

@@ -47,6 +47,27 @@ std::vector<cplx> make_twiddles(std::size_t n) {
 
 }  // namespace
 
+std::size_t next_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) {
+    p <<= 1;
+  }
+  return p;
+}
+
+bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+double bin_frequency_hz(std::size_t index, std::size_t n,
+                        double sample_rate_hz) {
+  expects(n > 0 && index < n, "bin_frequency_hz: index out of range");
+  const auto half = n / 2;
+  const double step = sample_rate_hz / static_cast<double>(n);
+  if (index <= half) {
+    return static_cast<double>(index) * step;
+  }
+  return (static_cast<double>(index) - static_cast<double>(n)) * step;
+}
+
 fft_plan::fft_plan(std::size_t n) : n_{n} {
   expects(is_pow2(n), "fft_plan: size must be a power of two");
   bitrev_ = make_bitrev(n_);
@@ -185,42 +206,6 @@ std::shared_ptr<const fft_plan> get_fft_plan(std::size_t n) {
     slot = std::make_shared<const fft_plan>(n);
   }
   return slot;
-}
-
-std::vector<cplx> rfft(std::span<const double> input) {
-  expects(!input.empty(), "rfft: input must be non-empty");
-  const std::size_t n = input.size();
-  if (is_pow2(n)) {
-    const auto plan = get_fft_plan(n);
-    std::vector<cplx> out(plan->num_real_bins());
-    plan->rfft(input, out);
-    return out;
-  }
-  std::vector<cplx> full = fft_real(input);
-  full.resize(n / 2 + 1);
-  return full;
-}
-
-std::vector<double> irfft(std::span<const cplx> spectrum, std::size_t n) {
-  expects(n > 0, "irfft: length must be > 0");
-  expects(spectrum.size() >= n / 2 + 1, "irfft: spectrum needs n/2 + 1 bins");
-  if (is_pow2(n)) {
-    const auto plan = get_fft_plan(n);
-    std::vector<double> out(n);
-    std::vector<cplx> work(plan->workspace_size());
-    plan->irfft(spectrum, out, work);
-    return out;
-  }
-  // Arbitrary length: mirror into a full conjugate-symmetric spectrum
-  // and run the Bluestein inverse.
-  std::vector<cplx> full(n);
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    full[k] = spectrum[k];
-  }
-  for (std::size_t k = n / 2 + 1; k < n; ++k) {
-    full[k] = std::conj(spectrum[n - k]);
-  }
-  return ifft_real(full);
 }
 
 }  // namespace ivc::dsp

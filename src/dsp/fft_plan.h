@@ -1,12 +1,12 @@
-// Planned FFTs: precomputed twiddle/bit-reversal tables per size.
+// Fast Fourier transforms: planned radix-2 transforms with precomputed
+// twiddle/bit-reversal tables per power-of-two size.
 //
-// The unplanned entry points in dsp/fft.h recompute twiddle factors via
-// an error-accumulating recurrence on every call and promote real
-// signals to full complex transforms. A `fft_plan` computes its tables
-// once (direct trig per root, no recurrence drift), is immutable and
-// therefore shareable across threads, and offers a true real-to-complex
-// `rfft`/`irfft` that runs a half-size complex transform — halving the
-// butterfly work for the all-real signals that dominate this codebase.
+// A `fft_plan` computes its tables once (direct trig per root, no
+// recurrence drift), is immutable and therefore shareable across
+// threads, and offers a true real-to-complex `rfft`/`irfft` that runs a
+// half-size complex transform — halving the butterfly work for the
+// all-real signals that dominate this codebase. Callers pad to
+// next_pow2() of their length.
 //
 // Callers obtain shared plans from the process-wide cache with
 // `get_fft_plan(n)` and pass their own workspaces, so the per-transform
@@ -20,15 +20,26 @@
 // (1/N)-normalized inverse.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
-
 namespace ivc::dsp {
+
+using cplx = std::complex<double>;
+
+// Smallest power of two >= n (n == 0 maps to 1).
+std::size_t next_pow2(std::size_t n);
+
+// True when n is a nonzero power of two.
+bool is_pow2(std::size_t n);
+
+// Frequency, in Hz, of FFT bin `index` for a transform of length n at
+// `sample_rate_hz`; bins above n/2 map to negative frequencies.
+double bin_frequency_hz(std::size_t index, std::size_t n, double sample_rate_hz);
 
 class fft_plan {
  public:
@@ -78,12 +89,5 @@ class fft_plan {
 // size n, building it on first use. Thread-safe; the returned plan is
 // immutable and may be held for the life of the process.
 std::shared_ptr<const fft_plan> get_fft_plan(std::size_t n);
-
-// Allocating conveniences for arbitrary lengths. Power-of-two sizes run
-// the planned packed kernel; other sizes fall back to the Bluestein
-// path in dsp/fft.h. rfft returns the n/2 + 1 nonnegative-frequency
-// bins; irfft reconstructs n real samples from them.
-std::vector<cplx> rfft(std::span<const double> input);
-std::vector<double> irfft(std::span<const cplx> spectrum, std::size_t n);
 
 }  // namespace ivc::dsp

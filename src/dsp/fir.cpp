@@ -93,48 +93,6 @@ std::vector<double> design_fir_lowpass(std::size_t num_taps, double cutoff_hz,
   return windowed_sinc(num_taps, cutoff_hz, sample_rate_hz, window, kaiser_beta);
 }
 
-std::vector<double> design_fir_highpass(std::size_t num_taps, double cutoff_hz,
-                                        double sample_rate_hz,
-                                        window_kind window, double kaiser_beta) {
-  std::vector<double> taps =
-      design_fir_lowpass(num_taps, cutoff_hz, sample_rate_hz, window, kaiser_beta);
-  // Spectral inversion: delta at center minus the low-pass.
-  for (auto& t : taps) {
-    t = -t;
-  }
-  taps[num_taps / 2] += 1.0;
-  return taps;
-}
-
-std::vector<double> design_fir_bandpass(std::size_t num_taps, double low_hz,
-                                        double high_hz, double sample_rate_hz,
-                                        window_kind window, double kaiser_beta) {
-  check_design_args(num_taps, sample_rate_hz);
-  expects(low_hz > 0.0 && high_hz > low_hz && high_hz < sample_rate_hz / 2.0,
-          "design_fir_bandpass: need 0 < low < high < fs/2");
-  const std::vector<double> lp_high =
-      windowed_sinc(num_taps, high_hz, sample_rate_hz, window, kaiser_beta);
-  const std::vector<double> lp_low =
-      windowed_sinc(num_taps, low_hz, sample_rate_hz, window, kaiser_beta);
-  std::vector<double> taps(num_taps);
-  for (std::size_t i = 0; i < num_taps; ++i) {
-    taps[i] = lp_high[i] - lp_low[i];
-  }
-  return taps;
-}
-
-std::vector<double> design_fir_bandstop(std::size_t num_taps, double low_hz,
-                                        double high_hz, double sample_rate_hz,
-                                        window_kind window, double kaiser_beta) {
-  std::vector<double> taps = design_fir_bandpass(num_taps, low_hz, high_hz,
-                                                 sample_rate_hz, window, kaiser_beta);
-  for (auto& t : taps) {
-    t = -t;
-  }
-  taps[num_taps / 2] += 1.0;
-  return taps;
-}
-
 std::vector<double> convolve(std::span<const double> signal,
                              std::span<const double> taps) {
   expects(!signal.empty() && !taps.empty(),

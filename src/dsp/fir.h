@@ -21,24 +21,6 @@ std::vector<double> design_fir_lowpass(std::size_t num_taps, double cutoff_hz,
                                        window_kind window = window_kind::kaiser,
                                        double kaiser_beta = 8.6);
 
-// Windowed-sinc high-pass via spectral inversion of the low-pass.
-std::vector<double> design_fir_highpass(std::size_t num_taps, double cutoff_hz,
-                                        double sample_rate_hz,
-                                        window_kind window = window_kind::kaiser,
-                                        double kaiser_beta = 8.6);
-
-// Windowed-sinc band-pass for (low_hz, high_hz).
-std::vector<double> design_fir_bandpass(std::size_t num_taps, double low_hz,
-                                        double high_hz, double sample_rate_hz,
-                                        window_kind window = window_kind::kaiser,
-                                        double kaiser_beta = 8.6);
-
-// Band-stop complement of design_fir_bandpass.
-std::vector<double> design_fir_bandstop(std::size_t num_taps, double low_hz,
-                                        double high_hz, double sample_rate_hz,
-                                        window_kind window = window_kind::kaiser,
-                                        double kaiser_beta = 8.6);
-
 // Full linear convolution (output length = signal + taps - 1). Uses FFT
 // convolution above a size threshold, direct convolution below it.
 std::vector<double> convolve(std::span<const double> signal,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/constants.h"
 #include "common/error.h"
 #include "dsp/biquad.h"
 #include "dsp/fft_plan.h"
@@ -72,21 +71,6 @@ std::vector<double> smoothed_envelope(std::span<const double> input,
   const std::vector<double> env = envelope(input);
   const iir_cascade lp = butterworth_lowpass(2, smooth_hz, sample_rate_hz);
   return lp.process(env);
-}
-
-std::vector<double> ssb_modulate(std::span<const double> baseband,
-                                 double carrier_hz, double sample_rate_hz) {
-  expects(sample_rate_hz > 0.0, "ssb_modulate: sample rate must be > 0");
-  expects(carrier_hz >= 0.0 && carrier_hz < sample_rate_hz / 2.0,
-          "ssb_modulate: carrier must be in [0, fs/2)");
-  const auto a = analytic_signal(baseband);
-  std::vector<double> out(a.size());
-  const double w = two_pi * carrier_hz / sample_rate_hz;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double phase = w * static_cast<double>(i);
-    out[i] = a[i].real() * std::cos(phase) - a[i].imag() * std::sin(phase);
-  }
-  return out;
 }
 
 }  // namespace ivc::dsp

@@ -1,9 +1,8 @@
-// Analytic signal, envelope extraction, and single-sideband helpers.
+// Analytic signal and envelope extraction.
 //
-// The attack's spectrum splitter uses analytic (single-sideband)
-// modulation so each ultrasonic speaker carries exactly one copy of its
-// voice-band chunk; the defense uses envelopes to correlate low-frequency
-// traces against the squared voice envelope.
+// The defense correlates low-frequency traces against the squared voice
+// envelope (smoothed_envelope). analytic_signal() is the textbook form
+// that envelope()'s faster quadrature path is checked against.
 #pragma once
 
 #include <complex>
@@ -26,10 +25,5 @@ std::vector<double> envelope(std::span<const double> input);
 // (2nd-order Butterworth, applied forward only).
 std::vector<double> smoothed_envelope(std::span<const double> input,
                                       double sample_rate_hz, double smooth_hz);
-
-// Single-sideband (upper) modulation: shifts the spectrum of `baseband`
-// up by `carrier_hz`: Re{ analytic(baseband) · e^{j·2π·fc·t} }.
-std::vector<double> ssb_modulate(std::span<const double> baseband,
-                                 double carrier_hz, double sample_rate_hz);
 
 }  // namespace ivc::dsp

@@ -107,16 +107,4 @@ std::vector<double> make_periodic_window(window_kind kind, std::size_t n,
   return make_window_impl(kind, n, static_cast<double>(n), kaiser_beta);
 }
 
-std::string to_string(window_kind kind) {
-  switch (kind) {
-    case window_kind::rectangular: return "rectangular";
-    case window_kind::hann: return "hann";
-    case window_kind::hamming: return "hamming";
-    case window_kind::blackman: return "blackman";
-    case window_kind::blackman_harris: return "blackman-harris";
-    case window_kind::kaiser: return "kaiser";
-  }
-  return "unknown";
-}
-
 }  // namespace ivc::dsp

@@ -1,7 +1,7 @@
 // Analysis/synthesis window functions.
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace ivc::dsp {
@@ -39,8 +39,5 @@ double kaiser_beta_for_attenuation(double attenuation_db);
 std::size_t kaiser_length_for_design(double attenuation_db,
                                      double transition_hz,
                                      double sample_rate_hz);
-
-// Human-readable window name, for experiment printouts.
-std::string to_string(window_kind kind);
 
 }  // namespace ivc::dsp

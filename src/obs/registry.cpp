@@ -88,16 +88,13 @@ json::value labels_json(const label_set& labels) {
 
 }  // namespace
 
-metrics_registry::metrics_registry(std::size_t shards, histogram_config bins)
-    : bins_{bins}, shards_(shards == 0 ? 1 : shards) {}
-
 metrics_registry::entry& metrics_registry::intern(const std::string& name,
                                                   label_set labels, kind type,
                                                   bool deterministic) {
   expects(!name.empty(), "metrics_registry: empty metric name");
   canonicalize(labels);
   const std::string key = canonical_key(name, labels);
-  table_shard& sh = shards_[std::hash<std::string>{}(key) % shards_.size()];
+  table_shard& sh = shards_[std::hash<std::string>{}(key) % num_shards];
   const ts_lock lock{sh.mutex};
   for (const std::unique_ptr<entry>& e : sh.entries) {
     if (e->key == key) {
@@ -123,7 +120,7 @@ metrics_registry::entry& metrics_registry::intern(const std::string& name,
       e->gge = std::make_unique<detail::gauge_cell>();
       break;
     case kind::histogram:
-      e->hist = std::make_unique<detail::histogram_cell>(bins_);
+      e->hist = std::make_unique<detail::histogram_cell>();
       break;
   }
   sh.entries.push_back(std::move(e));

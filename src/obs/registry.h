@@ -3,7 +3,7 @@
 // The serving fleet needs counters/gauges/histograms that every
 // session, manager and shard can bump from its hot path without
 // serializing on one registry lock. The registry shards its name table
-// across N mutexes (registration-time cost only) and hands out CHEAP
+// across 8 mutexes (registration-time cost only) and hands out CHEAP
 // HANDLES: a counter/gauge handle is one raw pointer to an atomic cell,
 // so the hot-path cost of `counter.inc()` is a relaxed fetch_add — no
 // lock, no hash lookup, no branch beyond the null check that makes a
@@ -32,6 +32,7 @@
 // log-histograms as summaries with p50/p95/p99 quantile samples).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,10 +63,9 @@ struct gauge_cell {
 
 // Histograms are not atomic: record() takes the cell's own mutex. Keep
 // registry histograms for LOW-RATE series (rehydrate latency, sampler
-// internals); per-block latency stays in the per-session histograms,
-// which are already under the session mutex.
+// internals); per-block queue wait stays in the per-session queue_wait
+// histogram, which is already under the session mutex.
 struct histogram_cell {
-  explicit histogram_cell(const histogram_config& bins) : hist{bins} {}
   ts_mutex mutex;
   log_histogram hist IVC_GUARDED_BY(mutex);
 };
@@ -160,11 +160,6 @@ class histogram {
 
 class metrics_registry {
  public:
-  // `shards` sizes the name-table lock striping; `bins` is the binning
-  // of every registry histogram (one config, so exports can compare).
-  explicit metrics_registry(std::size_t shards = 8,
-                            histogram_config bins = {});
-
   // Registration (idempotent): returns a handle to the cell identified
   // by (name, labels), creating it on first call. Thread-safe; takes
   // only the one shard lock the name hashes to. Throws when the same
@@ -174,8 +169,6 @@ class metrics_registry {
                       bool deterministic = true);
   gauge get_gauge(const std::string& name, label_set labels = {});
   histogram get_histogram(const std::string& name, label_set labels = {});
-
-  const histogram_config& bins() const { return bins_; }
 
   // Full export, sorted by (name, labels) so the output is byte-stable:
   //   {"counters":[{"name","labels":{..},"value",..}...],
@@ -227,8 +220,10 @@ class metrics_registry {
   // All entries, sorted by key (locks every shard in index order).
   std::vector<const entry*> sorted_entries() const;
 
-  const histogram_config bins_;
-  std::vector<table_shard> shards_;
+  // Name-table lock striping. Every registry histogram uses the default
+  // histogram_config, so exports can compare.
+  static constexpr std::size_t num_shards = 8;
+  std::array<table_shard, num_shards> shards_;
 };
 
 }  // namespace ivc::obs

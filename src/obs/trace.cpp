@@ -8,24 +8,6 @@
 
 namespace ivc::obs {
 
-const char* stage_name(trace_stage stage) {
-  switch (stage) {
-    case trace_stage::ingest:
-      return "ingest";
-    case trace_stage::detector:
-      return "detector";
-    case trace_stage::asr:
-      return "asr";
-    case trace_stage::intent:
-      return "intent";
-    case trace_stage::outcome:
-      return "outcome";
-    case trace_stage::quarantine:
-      return "quarantine";
-  }
-  return "unknown";
-}
-
 json::value encode_spans(const std::vector<span>& spans) {
   json::array all;
   all.reserve(spans.size());
@@ -83,14 +65,6 @@ void trace_ring::record(span s) {
   }
   ring_[next_] = std::move(s);
   next_ = (next_ + 1) % capacity_;
-}
-
-void trace_ring::clear() {
-  ring_.clear();
-  ring_.shrink_to_fit();
-  next_ = 0;
-  count_ = 0;
-  total_ = 0;
 }
 
 std::vector<span> trace_ring::spans() const {

@@ -40,8 +40,6 @@ enum class trace_stage : std::uint8_t {
   quarantine,  // force_quarantine: parked without stage attribution
 };
 
-const char* stage_name(trace_stage stage);
-
 struct span {
   trace_stage stage = trace_stage::ingest;
   // Deterministic stream coordinate: block index (ingest/detector) or
@@ -79,8 +77,6 @@ class trace_ring {
   // to its capacity — an idle session costs no span storage, which is
   // what lets a million open sessions each carry a recorder.
   void record(span s);
-
-  void clear();
 
   // Retained spans, oldest -> newest.
   std::vector<span> spans() const;

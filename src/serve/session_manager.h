@@ -37,8 +37,8 @@
 //
 // Backpressure is explicit and lives at the session queues: a full ring
 // sheds the offered block or rejects it per serve_config::policy, and
-// every shed/reject is counted. The aggregate() view merges per-session
-// counters and latency histograms into the fleet-wide p50/p95/p99.
+// every shed/reject is counted. The aggregate() view sums per-session
+// counters and merges their queue_wait histograms into one fleet-wide.
 //
 // ---- Session eviction -----------------------------------------------------
 // A voice fleet has far more OPEN sessions than ACTIVE ones: a session
@@ -84,8 +84,8 @@
 
 namespace ivc::serve {
 
-// Fleet-wide totals: summed session counters plus the merged latency
-// histograms.
+// Fleet-wide totals: summed session counters plus the merged queue_wait
+// histogram.
 struct serve_totals {
   session_stats stats;            // counters summed over sessions
   std::size_t num_sessions = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -314,29 +313,6 @@ axis device_axis(const std::vector<mic::device_profile>& devices) {
   return a;
 }
 
-axis command_axis(const std::vector<std::string>& command_ids) {
-  axis a{"command", {}};
-  for (std::size_t i = 0; i < command_ids.size(); ++i) {
-    const std::string id = command_ids[i];
-    a.points.push_back(axis_point{
-        id, static_cast<double>(i),
-        [id](attack_scenario& sc) { sc.command_id = id; }, nullptr});
-  }
-  return a;
-}
-
-axis voice_axis(
-    const std::vector<std::pair<std::string, synth::voice_params>>& voices) {
-  axis a{"voice", {}};
-  for (std::size_t i = 0; i < voices.size(); ++i) {
-    const synth::voice_params v = voices[i].second;
-    a.points.push_back(axis_point{
-        voices[i].first, static_cast<double>(i),
-        [v](attack_scenario& sc) { sc.voice = v; }, nullptr});
-  }
-  return a;
-}
-
 axis custom_axis(std::string name, std::vector<axis_point> points) {
   return axis{std::move(name), std::move(points)};
 }
@@ -381,19 +357,6 @@ genuine_axis genuine_level_axis(const std::vector<double>& levels_db_spl) {
   return a;
 }
 
-genuine_axis genuine_device_axis(
-    const std::vector<mic::device_profile>& devices) {
-  genuine_axis a{"device", {}};
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    const mic::device_profile d = devices[i];
-    a.points.push_back(genuine_axis_point{
-        d.name, static_cast<double>(i),
-        [d](genuine_scenario& sc) { sc.device = d; },
-        [d](genuine_session& s) { s.set_device(d); }});
-  }
-  return a;
-}
-
 genuine_axis genuine_phrase_axis(const std::vector<std::string>& phrase_ids) {
   genuine_axis a{"phrase", {}};
   for (std::size_t i = 0; i < phrase_ids.size(); ++i) {
@@ -401,18 +364,6 @@ genuine_axis genuine_phrase_axis(const std::vector<std::string>& phrase_ids) {
     a.points.push_back(genuine_axis_point{
         id, static_cast<double>(i),
         [id](genuine_scenario& sc) { sc.phrase_id = id; }, nullptr});
-  }
-  return a;
-}
-
-genuine_axis genuine_voice_axis(
-    const std::vector<std::pair<std::string, synth::voice_params>>& voices) {
-  genuine_axis a{"voice", {}};
-  for (std::size_t i = 0; i < voices.size(); ++i) {
-    const synth::voice_params v = voices[i].second;
-    a.points.push_back(genuine_axis_point{
-        voices[i].first, static_cast<double>(i),
-        [v](genuine_scenario& sc) { sc.voice = v; }, nullptr});
   }
   return a;
 }
@@ -482,12 +433,6 @@ void result_table::write_csv(std::ostream& out) const {
   }
 }
 
-std::string result_table::to_csv() const {
-  std::ostringstream out;
-  write_csv(out);
-  return out.str();
-}
-
 void result_table::write_csv_file(const std::string& path) const {
   std::ofstream out{path};
   ensures(out.good(), "result_table: cannot open '" + path + "'");
@@ -504,16 +449,6 @@ json::value result_table::to_json_value() const {
   return json::value{json::object{{"axis_names", json_strings(axis_names_)},
                                   {"metric_names", json_strings(metric_names_)},
                                   {"rows", json::value{std::move(rows)}}}};
-}
-
-std::string result_table::to_json() const {
-  return json::write(to_json_value());
-}
-
-void result_table::write_json_file(const std::string& path) const {
-  std::ofstream out{path};
-  ensures(out.good(), "result_table: cannot open '" + path + "'");
-  out << to_json() << "\n";
 }
 
 void result_table::print(std::FILE* out) const {

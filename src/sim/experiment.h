@@ -86,22 +86,14 @@ axis power_axis(const std::vector<double>& powers_w);
 axis carrier_axis(const std::vector<double>& carriers_hz);
 axis ambient_axis(const std::vector<double>& ambient_spl_db);
 axis device_axis(const std::vector<mic::device_profile>& devices);
-axis command_axis(const std::vector<std::string>& command_ids);
-axis voice_axis(
-    const std::vector<std::pair<std::string, synth::voice_params>>& voices);
 
 // Genuine-side vocabulary (the F-R9 false-positive grids). Ambient,
-// distance, talker level, and device mutate a prepared genuine_session
-// in place; phrase and voice re-render the rendition, so they are
-// scenario-only.
+// distance and talker level mutate a prepared genuine_session in place;
+// phrase re-renders the rendition, so it is scenario-only.
 genuine_axis genuine_ambient_axis(const std::vector<double>& ambient_spl_db);
 genuine_axis genuine_distance_axis(const std::vector<double>& distances_m);
 genuine_axis genuine_level_axis(const std::vector<double>& levels_db_spl);
-genuine_axis genuine_device_axis(
-    const std::vector<mic::device_profile>& devices);
 genuine_axis genuine_phrase_axis(const std::vector<std::string>& phrase_ids);
-genuine_axis genuine_voice_axis(
-    const std::vector<std::pair<std::string, synth::voice_params>>& voices);
 
 // Extension point: any named list of labelled scenario mutations, on
 // either side. (Concrete overloads, not a template: callers pass braced
@@ -268,7 +260,6 @@ class result_table {
   // CSV: per axis a label column and a "<axis>:coord" numeric column,
   // then the metric columns. Fields are quoted per RFC 4180 ('"'
   // doubling) and doubles written at full precision ("%.17g").
-  std::string to_csv() const;
   void write_csv(std::ostream& out) const;
   void write_csv_file(const std::string& path) const;
 
@@ -276,8 +267,6 @@ class result_table {
   // metrics}]}; json::parse reads every finite value back bit-exactly,
   // and a non-finite one is null (json::number_or_null).
   json::value to_json_value() const;
-  std::string to_json() const;  // json::write(to_json_value())
-  void write_json_file(const std::string& path) const;
 
   // Fixed-width human-readable table (what benches print).
   void print(std::FILE* out = stdout) const;

@@ -270,13 +270,6 @@ void genuine_session::set_level(double db_spl_at_1m) {
   scenario_.level_db_spl_at_1m = db_spl_at_1m;
 }
 
-void genuine_session::set_device(const mic::device_profile& device) {
-  // Unlike attack_session there is no enrolled recognizer tied to the
-  // capture rate, so any device profile is fair game; the microphone
-  // resamples from the analog rate itself.
-  scenario_.device = device;
-}
-
 const audio::buffer& genuine_session::field() const {
   if (!field_valid_) {
     const audio::buffer scaled = audio::normalize_rms(

@@ -151,8 +151,8 @@ audio::buffer run_genuine_capture(const genuine_scenario& scenario,
                                   ivc::rng& rng);
 
 // One prepared genuine talker: the voice rendition renders once (the
-// expensive step); ambient level, distance, talker level, and device
-// mutate cheaply between trials. The propagated field is cached per
+// expensive step); ambient level, distance and talker level mutate
+// cheaply between trials. The propagated field is cached per
 // placement, so an ambient sweep pays only noise synthesis and the
 // microphone per trial. Mirrors attack_session: `seed` fixes the
 // rendition, and every trial's ambient/microphone noise streams are
@@ -165,7 +165,6 @@ class genuine_session {
   void set_ambient(double spl_db);
   void set_distance(double distance_m);
   void set_level(double db_spl_at_1m);
-  void set_device(const mic::device_profile& device);
 
   const genuine_scenario& scenario() const { return scenario_; }
   const audio::buffer& voice() const { return voice_; }

@@ -61,16 +61,4 @@ std::vector<double> glottal_source(std::span<const double> f0_hz,
   return out;
 }
 
-std::vector<double> pitch_contour(double start_hz, double end_hz,
-                                  std::size_t n) {
-  expects(n > 0, "pitch_contour: need at least one sample");
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = n > 1 ? static_cast<double>(i) / static_cast<double>(n - 1)
-                           : 0.0;
-    out[i] = start_hz + (end_hz - start_hz) * t;
-  }
-  return out;
-}
-
 }  // namespace ivc::synth

@@ -31,9 +31,4 @@ std::vector<double> glottal_source(std::span<const double> f0_hz,
                                    double sample_rate_hz,
                                    const glottal_config& config, ivc::rng& rng);
 
-// Linear pitch contour from `start_hz` to `end_hz` over n samples: the
-// standard declination of a declarative utterance.
-std::vector<double> pitch_contour(double start_hz, double end_hz,
-                                  std::size_t n);
-
 }  // namespace ivc::synth

@@ -56,11 +56,11 @@ TEST(air, absorption_zero_at_dc) {
 
 TEST(air, absorption_gain_decays_with_distance) {
   air_model a;
-  const double g1 = a.absorption_gain(40'000.0, 1.0);
-  const double g5 = a.absorption_gain(40'000.0, 5.0);
+  const double g1 = a.absorption().gain(40'000.0, 1.0);
+  const double g5 = a.absorption().gain(40'000.0, 5.0);
   EXPECT_LT(g5, g1);
   EXPECT_NEAR(g5, std::pow(g1, 5.0), 1e-12);
-  EXPECT_DOUBLE_EQ(a.absorption_gain(40'000.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(a.absorption().gain(40'000.0, 0.0), 1.0);
 }
 
 TEST(air, humidity_affects_ultrasound_absorption) {

@@ -3,7 +3,6 @@
 
 #include "acoustics/array.h"
 #include "acoustics/noise.h"
-#include "acoustics/scene.h"
 #include "audio/generate.h"
 #include "audio/metrics.h"
 #include "common/units.h"
@@ -66,14 +65,6 @@ TEST(array, total_power_and_scaling) {
   EXPECT_THROW(arr.scale_power(10.0), std::invalid_argument);
 }
 
-TEST(array, translate_moves_elements) {
-  speaker_array arr;
-  arr.add_element(tone_element(40'000.0, 0.5, vec3{1.0, 2.0, 3.0}));
-  arr.translate(vec3{-1.0, 0.0, 0.5});
-  EXPECT_DOUBLE_EQ(arr.elements()[0].position.x, 0.0);
-  EXPECT_DOUBLE_EQ(arr.elements()[0].position.z, 3.5);
-}
-
 TEST(array, farther_listener_receives_less) {
   speaker_array arr;
   arr.add_element(tone_element(40'000.0, 0.7, vec3{}));
@@ -107,32 +98,6 @@ TEST(noise, ambient_noise_hits_target_spl) {
     const audio::buffer n = ambient_noise(1.0, 48'000.0, 50.0, kind, rng);
     EXPECT_NEAR(ivc::pa_to_spl_db(audio::rms(n.samples)), 50.0, 0.1);
   }
-}
-
-TEST(scene, source_plus_ambient_render) {
-  scene sc{air_model{}};
-  pressure_source src;
-  src.pressure_at_1m = audio::tone(1'000.0, 0.3, 48'000.0, 0.2);
-  src.position = vec3{0.0, 0.0, 0.0};
-  sc.add_source(src);
-  sc.set_ambient(ambient_config{35.0, noise_kind::white});
-  ivc::rng rng{4};
-  const audio::buffer rx = sc.render_at(vec3{0.0, 2.0, 0.0}, rng);
-  ASSERT_FALSE(rx.empty());
-  const std::span<const double> mid{rx.samples.data() + 9'600, 2'400};
-  // Tone present at ~0.1 Pa (0.2/2), noise floor present but lower.
-  EXPECT_NEAR(ivc::dsp::goertzel_amplitude(mid, 48'000.0, 1'000.0), 0.1,
-              0.02);
-}
-
-TEST(scene, empty_scene_rejected_ambient_only_allowed) {
-  scene empty{air_model{}};
-  ivc::rng rng{5};
-  EXPECT_THROW(empty.render_at(vec3{}, rng), std::invalid_argument);
-  scene ambient_only{air_model{}};
-  ambient_only.set_ambient(ambient_config{40.0, noise_kind::pink});
-  const audio::buffer rx = ambient_only.render_at(vec3{}, rng);
-  EXPECT_FALSE(rx.empty());
 }
 
 }  // namespace

@@ -48,7 +48,8 @@ TEST(mel, filterbank_responds_to_matching_tone) {
   // a 512-FFT at 16 kHz).
   std::vector<double> power(257, 0.0);
   power[32] = 1.0;
-  const auto out = bank.apply(power);
+  std::vector<double> out;
+  bank.apply_to(power, out);
   std::size_t hottest = 0;
   for (std::size_t m = 1; m < out.size(); ++m) {
     if (out[m] > out[hottest]) {

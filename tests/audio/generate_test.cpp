@@ -36,18 +36,6 @@ TEST(generate, multi_tone_contains_all_components) {
   EXPECT_LT(ivc::dsp::goertzel_amplitude(m.samples, 16'000.0, 2'000.0), 1e-3);
 }
 
-TEST(generate, chirp_sweeps_from_start_to_end_frequency) {
-  const double fs = 16'000.0;
-  const buffer c = chirp(500.0, 4'000.0, 1.0, fs);
-  // Early quarter dominated by low frequencies, late quarter by high.
-  const std::span<const double> early{c.samples.data(), 4'000};
-  const std::span<const double> late{c.samples.data() + 12'000, 4'000};
-  const auto early_psd = ivc::dsp::welch_psd(early, fs);
-  const auto late_psd = ivc::dsp::welch_psd(late, fs);
-  EXPECT_LT(early_psd.peak_frequency(100.0, 8'000.0), 1'800.0);
-  EXPECT_GT(late_psd.peak_frequency(100.0, 8'000.0), 3'000.0);
-}
-
 TEST(generate, white_noise_hits_target_rms_and_is_flat) {
   ivc::rng rng{31};
   const buffer n = white_noise(2.0, 16'000.0, 0.25, rng);

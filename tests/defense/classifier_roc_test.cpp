@@ -1,5 +1,4 @@
 #include <cmath>
-#include <cstdio>
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -90,43 +89,6 @@ TEST(classifier, rejects_degenerate_training_sets) {
   EXPECT_THROW(clf.predict_probability(f), std::invalid_argument);
 }
 
-TEST(classifier, serialization_round_trips_exactly) {
-  ivc::rng rng{8};
-  logistic_classifier clf;
-  clf.train(separable_data(150, 2.0, rng));
-  const logistic_classifier restored =
-      logistic_classifier::from_text(clf.to_text());
-  // Identical probabilities on fresh points.
-  const labelled_features probe = separable_data(40, 2.0, rng);
-  for (const auto& x : probe.x) {
-    EXPECT_DOUBLE_EQ(restored.predict_probability(x),
-                     clf.predict_probability(x));
-  }
-}
-
-TEST(classifier, save_and_load_file) {
-  ivc::rng rng{9};
-  logistic_classifier clf;
-  clf.train(separable_data(100, 2.0, rng));
-  const std::string path = "/tmp/ivc_classifier_test.model";
-  clf.save(path);
-  const logistic_classifier loaded = logistic_classifier::load(path);
-  trace_features f;
-  f.low_band_ratio_db = 5.0;
-  EXPECT_DOUBLE_EQ(loaded.predict_probability(f),
-                   clf.predict_probability(f));
-  std::remove(path.c_str());
-}
-
-TEST(classifier, from_text_rejects_garbage) {
-  EXPECT_THROW(logistic_classifier::from_text("not a model"),
-               std::runtime_error);
-  EXPECT_THROW(logistic_classifier::from_text("ivc-logistic-v1 3\n0\n"),
-               std::runtime_error);
-  logistic_classifier untrained;
-  EXPECT_THROW(untrained.to_text(), std::invalid_argument);
-}
-
 TEST(roc, perfect_separation_gives_unit_auc) {
   const std::vector<double> scores{0.9, 0.8, 0.7, 0.2, 0.1, 0.05};
   const std::vector<int> labels{1, 1, 1, 0, 0, 0};
@@ -178,16 +140,6 @@ TEST(roc, rejects_single_class_input) {
   const std::vector<double> scores{0.1, 0.2};
   const std::vector<int> labels{1, 1};
   EXPECT_THROW(compute_roc(scores, labels), std::invalid_argument);
-}
-
-TEST(detector, feature_detector_thresholds_single_feature) {
-  trace_features f;
-  f.low_band_ratio_db = 5.0;
-  const feature_detector det{1, 3.0};
-  EXPECT_GT(det.score(f), 3.0);
-  f.low_band_ratio_db = 1.0;
-  EXPECT_LT(det.score(f), 3.0);
-  EXPECT_THROW(feature_detector(99, 0.0), std::invalid_argument);
 }
 
 TEST(detector, classifier_detector_requires_trained_model) {

@@ -63,43 +63,6 @@ TEST(biquad, process_attenuates_stopband_tone) {
   EXPECT_LT(goertzel_amplitude(tail, fs, 4'000.0), 1e-3);
 }
 
-TEST(biquad, streaming_filter_matches_block_processing) {
-  const double fs = 16'000.0;
-  const auto lp = butterworth_lowpass(4, 2'000.0, fs);
-  std::vector<double> sig(1'000);
-  for (std::size_t i = 0; i < sig.size(); ++i) {
-    sig[i] = std::sin(two_pi * 700.0 * static_cast<double>(i) / fs) +
-             0.3 * std::sin(two_pi * 5'000.0 * static_cast<double>(i) / fs);
-  }
-  const auto block = lp.process(sig);
-
-  iir_filter stream{lp};
-  std::vector<double> streamed(sig.size());
-  // Feed in uneven chunks.
-  std::size_t pos = 0;
-  for (const std::size_t chunk : {7u, 100u, 13u, 380u, 500u}) {
-    const std::size_t take = std::min(chunk, sig.size() - pos);
-    stream.process_block({sig.data() + pos, take}, {streamed.data() + pos, take});
-    pos += take;
-  }
-  while (pos < sig.size()) {
-    streamed[pos] = stream.process_sample(sig[pos]);
-    ++pos;
-  }
-  for (std::size_t i = 0; i < sig.size(); ++i) {
-    EXPECT_NEAR(streamed[i], block[i], 1e-12);
-  }
-}
-
-TEST(biquad, reset_clears_state) {
-  const auto lp = butterworth_lowpass(2, 1'000.0, 16'000.0);
-  iir_filter f{lp};
-  const double first = f.process_sample(1.0);
-  f.process_sample(0.5);
-  f.reset();
-  EXPECT_DOUBLE_EQ(f.process_sample(1.0), first);
-}
-
 TEST(biquad, rejects_bad_designs) {
   EXPECT_THROW(butterworth_lowpass(0, 1'000.0, 16'000.0),
                std::invalid_argument);

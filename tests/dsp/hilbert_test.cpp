@@ -77,39 +77,10 @@ TEST(hilbert, smoothed_envelope_removes_ripple) {
   }
 }
 
-TEST(hilbert, ssb_shifts_spectrum_without_mirror_image) {
-  const double fs = 192'000.0;
-  const double tone = 1'000.0;
-  const double carrier = 40'000.0;
-  std::vector<double> x(1 << 16);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::cos(two_pi * tone * static_cast<double>(i) / fs);
-  }
-  const auto shifted = ssb_modulate(x, carrier, fs);
-  const std::span<const double> mid{shifted.data() + 8'192, 49'152};
-  // Upper sideband present, lower sideband suppressed.
-  EXPECT_NEAR(goertzel_amplitude(mid, fs, carrier + tone), 1.0, 0.03);
-  EXPECT_LT(goertzel_amplitude(mid, fs, carrier - tone), 0.02);
-  EXPECT_LT(goertzel_amplitude(mid, fs, carrier), 0.02);
-}
-
-TEST(hilbert, ssb_at_zero_carrier_is_identity) {
-  const double fs = 8'000.0;
-  std::vector<double> x(4'096);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(two_pi * 300.0 * static_cast<double>(i) / fs);
-  }
-  const auto out = ssb_modulate(x, 0.0, fs);
-  for (std::size_t i = 100; i < x.size() - 100; ++i) {
-    EXPECT_NEAR(out[i], x[i], 0.02);
-  }
-}
-
 TEST(hilbert, rejects_bad_arguments) {
   EXPECT_THROW(analytic_signal({}), std::invalid_argument);
   EXPECT_THROW(envelope({}), std::invalid_argument);
   const std::vector<double> x(64, 0.0);
-  EXPECT_THROW(ssb_modulate(x, 5'000.0, 8'000.0), std::invalid_argument);
   EXPECT_THROW(smoothed_envelope(x, 8'000.0, 5'000.0), std::invalid_argument);
 }
 

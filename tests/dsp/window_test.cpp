@@ -12,7 +12,7 @@ TEST(window, symmetric_windows_are_symmetric) {
         window_kind::blackman_harris, window_kind::kaiser}) {
     const auto w = make_window(kind, 65);
     for (std::size_t i = 0; i < w.size(); ++i) {
-      EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12) << to_string(kind);
+      EXPECT_NEAR(w[i], w[w.size() - 1 - i], 1e-12) << static_cast<int>(kind);
     }
   }
 }

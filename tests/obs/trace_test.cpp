@@ -63,14 +63,6 @@ TEST(trace_ring, zero_capacity_disables_recording) {
   EXPECT_TRUE(ring.spans().empty());
 }
 
-TEST(trace_ring, clear_resets_everything) {
-  trace_ring ring{2};
-  ring.record(make_span(trace_stage::asr, 0, 0.5, 1.2, 0.01, "open_door"));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.total(), 0u);
-}
-
 TEST(trace_codec, round_trips_spans_bit_exactly) {
   std::vector<span> spans;
   spans.push_back(make_span(trace_stage::ingest, 0, 0.05, 800.0, 1.5e-4));
@@ -168,15 +160,6 @@ TEST(trace_ring, snapshot_restore_round_trips_after_wrap) {
   rebuilt.record(make_span(trace_stage::outcome, 8, 0.8, 2.0, 0.0));
   EXPECT_EQ(rebuilt.total(), 9u);
   EXPECT_EQ(rebuilt.spans().back().index, 8u);
-}
-
-TEST(trace_stage_names, cover_every_stage) {
-  EXPECT_STREQ(stage_name(trace_stage::ingest), "ingest");
-  EXPECT_STREQ(stage_name(trace_stage::detector), "detector");
-  EXPECT_STREQ(stage_name(trace_stage::asr), "asr");
-  EXPECT_STREQ(stage_name(trace_stage::intent), "intent");
-  EXPECT_STREQ(stage_name(trace_stage::outcome), "outcome");
-  EXPECT_STREQ(stage_name(trace_stage::quarantine), "quarantine");
 }
 
 TEST(jsonl_trace_sink, appends_one_parseable_line_per_dump) {

@@ -214,6 +214,16 @@ result_table sample_table() {
   return t;
 }
 
+std::string csv_of(const result_table& t) {
+  std::ostringstream out;
+  t.write_csv(out);
+  return out.str();
+}
+
+std::string json_of(const result_table& t) {
+  return json::write(t.to_json_value());
+}
+
 // Labels with a comma, quotes, and a newline — the fields RFC 4180
 // quoting exists for. A device or command label with a comma used to
 // shift every column to its right.
@@ -225,7 +235,7 @@ result_table awkward_table() {
 }
 
 TEST(experiment_results, csv_writes_full_precision) {
-  std::istringstream in{sample_table().to_csv()};
+  std::istringstream in{csv_of(sample_table())};
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   // Header carries the coord columns the table promises.
@@ -235,7 +245,7 @@ TEST(experiment_results, csv_writes_full_precision) {
 }
 
 TEST(experiment_results, csv_quotes_awkward_labels_per_rfc4180) {
-  const std::string csv = awkward_table().to_csv();
+  const std::string csv = csv_of(awkward_table());
   // Comma-bearing label is quoted, embedded quotes double.
   EXPECT_NE(csv.find("\"Echo, 2nd gen\""), std::string::npos);
   EXPECT_NE(csv.find("\"say \"\"hello\"\"\""), std::string::npos);
@@ -246,7 +256,7 @@ TEST(experiment_results, csv_quotes_awkward_labels_per_rfc4180) {
 
 TEST(experiment_results, json_round_trips_awkward_labels) {
   const result_table t = awkward_table();
-  const json::value doc = json::parse(t.to_json());
+  const json::value doc = json::parse(json_of(t));
   const json::array& rows = json::arr(doc, "rows");
   ASSERT_EQ(rows.size(), t.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -259,7 +269,7 @@ TEST(experiment_results, json_round_trips_awkward_labels) {
 
 TEST(experiment_results, json_contains_names_and_exact_values) {
   const result_table t = sample_table();
-  const json::value doc = json::parse(t.to_json());
+  const json::value doc = json::parse(json_of(t));
   EXPECT_EQ(json::arr(doc, "axis_names")[0].string(), "distance_m");
   const json::array& metric_names = json::arr(doc, "metric_names");
   ASSERT_EQ(metric_names.size(), 2u);
@@ -280,7 +290,7 @@ TEST(experiment_results, json_writes_non_finite_metrics_as_null) {
   t.add_row({{"1"}, {1.0},
              {std::numeric_limits<double>::quiet_NaN(),
               -std::numeric_limits<double>::infinity()}});
-  const json::value doc = json::parse(t.to_json());
+  const json::value doc = json::parse(json_of(t));
   const json::array& metrics =
       json::arr(json::arr(doc, "rows")[0], "metrics");
   ASSERT_EQ(metrics.size(), 2u);
@@ -288,24 +298,16 @@ TEST(experiment_results, json_writes_non_finite_metrics_as_null) {
   EXPECT_TRUE(metrics[1].is_null());
 }
 
-TEST(experiment_results, file_writers_produce_readable_files) {
+TEST(experiment_results, csv_file_writer_produces_readable_file) {
   const result_table t = sample_table();
   const std::string csv_path = "experiment_test_table.csv";
-  const std::string json_path = "experiment_test_table.json";
   t.write_csv_file(csv_path);
-  t.write_json_file(json_path);
   std::ifstream csv{csv_path};
-  std::ifstream json_in{json_path};
   ASSERT_TRUE(csv.good());
-  ASSERT_TRUE(json_in.good());
   std::string header;
   std::getline(csv, header);
   EXPECT_EQ(header, "distance_m,distance_m:coord,rate,ci_low");
-  std::string text;
-  std::getline(json_in, text);
-  EXPECT_EQ(text, t.to_json());
   std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
 }
 
 TEST(experiment_results, metric_lookup_rejects_unknown_names) {

@@ -36,13 +36,6 @@ TEST(glottal, silence_for_unvoiced_contour) {
   }
 }
 
-TEST(glottal, pitch_contour_is_linear) {
-  const auto c = pitch_contour(100.0, 200.0, 101);
-  EXPECT_DOUBLE_EQ(c.front(), 100.0);
-  EXPECT_DOUBLE_EQ(c.back(), 200.0);
-  EXPECT_NEAR(c[50], 150.0, 1e-9);
-}
-
 TEST(formant, resonator_amplifies_at_resonance) {
   resonator r;
   const double fs = 16'000.0;
